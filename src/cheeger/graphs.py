@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -119,8 +120,10 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
+        # Computed once per graph; the instance dict sits outside the
+        # dataclass fields, so equality and hashing are unaffected.
         return tuple(mask.bit_count() for mask in self.adj_masks)
 
     def neighbors(self, v: int) -> tuple[int, ...]:

@@ -266,6 +266,7 @@ class _Search:
         self.next_id = 0
         self.push_seq = 0
         self.hit_limit = False
+        self.error = None
 
         self.injected = initial_lb is not None
         self.incumbent = initial_lb if self.injected else 0
@@ -449,6 +450,14 @@ class _Search:
                 self.in_flight += 1
             try:
                 self._branch(node)
+            except Exception as exc:
+                # A lost subtree voids any optimality claim: stop every
+                # worker and let run() re-raise once they have joined.
+                with self.lock:
+                    if self.error is None:
+                        self.error = exc
+                    self.hit_limit = True
+                return
             finally:
                 with self.lock:
                     self.in_flight -= 1
@@ -468,6 +477,8 @@ class _Search:
                     t.start()
                 for t in threads:
                     t.join()
+        if self.error is not None:
+            raise self.error
 
         open_bounds = [-entry[0] for entry in self.heap]
         if self.hit_limit:

@@ -1,11 +1,15 @@
 """Tests for the swap-move annealing heuristic."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheeger.annealing import anneal_bisection, best_expansion_witness, local_search
 from cheeger.graphs import (
+    Graph,
     VertexSubset,
     brute_force_bisection,
     cut_value,
@@ -89,3 +93,112 @@ def test_argument_validation():
         anneal_bisection(g, 4, seed=0)
     with pytest.raises(ValueError):
         anneal_bisection(g, 2, seed=0, restarts=0)
+
+
+# -- full-rescan reference -------------------------------------------------
+#
+# The plain search the gain bookkeeping replaced: every pass recomputes
+# every swap delta from the adjacency masks.  The fast search must take the
+# same pair at every step, so its results match this one exactly.
+
+
+def _reference_swap_delta(g, mask, u, v):
+    deg = g.degrees
+    adj = g.adj_masks
+    after_u = mask ^ (1 << u)
+    return (
+        2 * (adj[u] & mask).bit_count()
+        - deg[u]
+        + deg[v]
+        - 2 * (adj[v] & after_u).bit_count()
+    )
+
+
+def _reference_local_search(g, subset):
+    mask = subset.mask
+    value = cut_value(g, subset)
+    n = g.n
+    improved = True
+    while improved:
+        improved = False
+        best_delta = 0
+        best_pair = None
+        inside = [u for u in range(n) if mask >> u & 1]
+        outside = [v for v in range(n) if not mask >> v & 1]
+        for u in inside:
+            for v in outside:
+                delta = _reference_swap_delta(g, mask, u, v)
+                if delta < best_delta:
+                    best_delta = delta
+                    best_pair = (u, v)
+        if best_pair is not None:
+            u, v = best_pair
+            mask = mask ^ (1 << u) | (1 << v)
+            value += best_delta
+            improved = True
+    return value, VertexSubset(g.n, mask)
+
+
+def test_local_search_matches_full_rescan():
+    rng = random.Random(2024)
+    graphs = [cycle(10), cycle(15), cycle(20), hypercube(3), hypercube(4)]
+    graphs += [gnp(n, 0.3, seed=n) for n in range(10, 21)]
+    for g in graphs:
+        for k in range(1, g.n // 2 + 1):
+            for _ in range(4):
+                start = VertexSubset.from_indices(g.n, rng.sample(range(g.n), k))
+                got_value, got = local_search(g, start)
+                want_value, want = _reference_local_search(g, start)
+                assert (got_value, got.mask) == (want_value, want.mask)
+
+
+# (graph, k, seed, restarts, value, mask), recorded with the full-rescan
+# search; a change here means the seed-to-result mapping moved.
+_PINNED_ANNEALS = [
+    (cycle(18), 9, 0, 3, 2, 0x3E00F),
+    (hypercube(4), 8, 2, 1, 8, 0x5555),
+    (gnp(16, 0.3, 1), 5, 3, 2, 6, 0x3124),
+    (gnp(20, 0.3, 9), 7, 1, 1, 18, 0xA5422),
+    (gnp(20, 0.3, 9), 10, 4, 2, 20, 0xAF4A2),
+    (gnp(14, 0.5, 7), 3, 11, 1, 10, 0xE0),
+]
+
+
+@pytest.mark.parametrize("g, k, seed, restarts, value, mask", _PINNED_ANNEALS)
+def test_anneal_results_are_pinned(g, k, seed, restarts, value, mask):
+    got_value, got = anneal_bisection(g, k, seed=seed, restarts=restarts)
+    assert (got_value, got.mask) == (value, mask)
+
+
+# -- properties against brute force ----------------------------------------
+
+
+@st.composite
+def _graph_and_start(draw):
+    """A connected graph on 3..12 vertices and a start subset of size k."""
+    n = draw(st.integers(3, 12))
+    # A random tree keeps the graph connected; extra edges on top.
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, keep in zip(pairs, extra) if keep}
+    g = Graph.build(n, edges)
+    k = draw(st.integers(1, n // 2))
+    members = draw(st.permutations(range(n)))[:k]
+    return g, VertexSubset.from_indices(n, members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_and_start())
+def test_local_search_properties(case):
+    g, start = case
+    k = start.size
+    value, subset = local_search(g, start)
+    assert subset.size == k
+    assert value == cut_value(g, subset)
+    for u in subset.indices():
+        for v in subset.complement().indices():
+            swapped = VertexSubset(g.n, subset.mask ^ (1 << u) | (1 << v))
+            assert cut_value(g, swapped) >= value
+    exact, _ = brute_force_bisection(g, k)
+    assert value >= exact

@@ -53,6 +53,19 @@ def test_build_rejects_bad_input():
         Graph.build(4, [(0, 1), (1, 2), (0, 2)])
 
 
+def test_degrees_are_cached_without_touching_identity():
+    a = gnp(10, 0.4, seed=3)
+    b = gnp(10, 0.4, seed=3)
+    assert a.degrees is a.degrees
+    assert a.degrees == tuple(mask.bit_count() for mask in a.adj_masks)
+    # b has not read its degrees yet; equality and hashing must only see
+    # the dataclass fields, not the cache.
+    assert a == b
+    assert hash(a) == hash(b)
+    assert b.degrees == a.degrees
+    assert a == b and hash(a) == hash(b)
+
+
 def test_vertex_subset_basics():
     s = VertexSubset.from_indices(5, [0, 3])
     assert s.size == 2

@@ -1,10 +1,13 @@
 """Tests for the branch-and-bound max-cut solver."""
 
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from cheeger import maxcut
 from cheeger.graphs import complete, cycle, path
 from cheeger.maxcut import (
     contract_pair,
@@ -234,6 +237,42 @@ def test_worker_pool_agrees_with_serial():
     assert pooled.status == "optimal"
     assert pooled.value == serial.value
     assert inst.cut_weight(pooled.mask) == pooled.value
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_worker_failure_propagates(monkeypatch, workers):
+    # A clean run on this instance explores about fifty nodes.  The second
+    # bound (a child node, inside a worker thread) fails; the search must
+    # stop every worker and re-raise rather than report "optimal" with a
+    # subtree never explored.
+    red = dinkelbach_to_maxcut(cycle(16), Fraction(1, 4))
+    original = maxcut._Search._bound
+    lock = threading.Lock()
+    calls = []
+
+    def failing_bound(self, node):
+        with lock:
+            calls.append(node.node_id)
+            fail = len(calls) == 2
+        if fail:
+            raise RuntimeError("injected bound failure")
+        return original(self, node)
+
+    monkeypatch.setattr(maxcut._Search, "_bound", failing_bound)
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = solve_maxcut(red.instance, workers=workers)
+        except RuntimeError as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive()
+    assert "result" not in outcome
+    assert str(outcome["error"]) == "injected bound failure"
 
 
 def test_triangle_tightening_can_be_disabled():
