@@ -8,10 +8,17 @@ descent.  Branching contracts a vertex into vertex 0, once per side, so
 every subproblem is again a plain max-cut on one fewer vertex; small
 subproblems are closed by exhaustive enumeration.
 
-All cut values are exact integers (Python arbitrary precision on the
-slow path, guarded int64 vectorization on the fast path); floats appear
-only inside relaxation bounds, which are certified and therefore safe to
-floor against the integer incumbent.
+Node bounds solve ``sdp.UnitDiagonalSdp``, whose operators act
+elementwise on the diagonal, so no generic constraint rows are built on
+the hot path.  Enumeration meets in the middle: one sign table per half
+of the vertices, and the cuts of a block of high-half codes against all
+low-half codes at a time, so memory stays near 2^16 cuts plus two tables
+of 2^(n/2) rows even at the 24-vertex cap.
+
+All cut values are exact integers (guarded int64 arithmetic, or Python
+integers in the same array expressions once weights are too wide for
+int64); floats appear only inside relaxation bounds, which are certified
+and therefore safe to floor against the integer incumbent.
 
 An injected ``initial_lb`` turns the search into a threshold test: the
 incumbent starts there without a witness, and if nothing beats it the
@@ -29,13 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import SdpBuilder, sdp_solve
+from .sdp import UnitDiagonalSdp, sdp_solve
 from .transforms import MaxCutInstance
 
 DEFAULT_NODE_LIMIT = 10**6
 DEFAULT_TIME_LIMIT = 3600.0
 # Exhaustive leaf enumeration beats one more round of SDP bounding up to
-# about this order (tens of milliseconds against hundreds).
+# at least this order: an 18-vertex leaf enumerates in about 3 ms and a
+# 20-vertex one in about 10 ms, while a bounded node costs about 50 ms of
+# node SDP solves (2-vCPU Xeon).  A larger value changes node counts.
 DEFAULT_LEAF_SIZE = 18
 # Triangle-inequality dualization schedule.  Dualizing is only attempted
 # when the distance to the pruning threshold is within what the rounding
@@ -49,6 +58,8 @@ POLYAK_MARGIN = 1e-3
 FLOOR_SLACK = 1e-6
 # int64 enumeration is safe while max |w| * N^2 stays under this.
 ENUM_INT64_LIMIT = 1 << 60
+# Cuts held in memory at once by enumeration.
+ENUM_BLOCK = 1 << 16
 GW_ROUNDS = 24
 
 
@@ -151,12 +162,27 @@ def gw_round(x: np.ndarray, rng: np.random.Generator, rounds: int = GW_ROUNDS):
     return out
 
 
+def _sign_table(bits: int, dtype) -> np.ndarray:
+    """Row c holds 1 - 2 * (bit j of c) in column j, for every code c."""
+    codes = np.arange(1 << bits, dtype=np.int64)[:, None]
+    return (1 - 2 * ((codes >> np.arange(bits, dtype=np.int64)) & 1)).astype(dtype)
+
+
 def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     """Exact maximum cut by enumeration; returns (value, mask).
 
-    The mask keeps vertex 0 on side 0.  Vectorized in int64 when weights
-    are small enough for the quadratic form to stay well inside the
-    representable range, exact big-integer loop otherwise.
+    The mask keeps vertex 0 on side 0; code bit i - 1 is vertex i.  The
+    free vertices split into a low half (with vertex 0) and a high half,
+    and every cut is the quadratic form of its two half sign vectors:
+
+        4 cut = 2 total - (q_high + q_low + 2 s_high W[high, low] s_low).
+
+    Row-major order of the (high code, low code) table is code order, so
+    taking the first maximum block by block gives the first maximizer.
+    Blocks of high codes keep at most about ``ENUM_BLOCK`` cuts in memory.
+    Arithmetic is int64 while every intermediate, at most
+    2 max|w| n^2, stays representable, and exact Python integers
+    otherwise.  Weights are symmetric with a zero diagonal.
     """
     if isinstance(instance_or_weights, MaxCutInstance):
         weights = [list(row) for row in instance_or_weights.weights]
@@ -169,26 +195,28 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
         return 0, 0
     total = sum(weights[i][j] for i in range(n) for j in range(i + 1, n))
     max_w = max((abs(weights[i][j]) for i in range(n) for j in range(i + 1, n)), default=0)
-    count = 1 << (n - 1)
-    if max_w * n * n < ENUM_INT64_LIMIT:
-        w64 = np.asarray(weights, dtype=np.int64)
-        codes = np.arange(count, dtype=np.uint32)
-        signs = np.ones((count, n), dtype=np.int64)
-        for i in range(1, n):
-            signs[:, i] = 1 - 2 * ((codes >> (i - 1)) & 1).astype(np.int64)
-        quad = np.einsum("bi,ij,bj->b", signs, w64, signs)
-        cuts = (2 * total - quad) // 4
-        best = int(np.argmax(cuts))
-        return int(cuts[best]), int(best) << 1
+    dtype = np.int64 if max_w * n * n < ENUM_INT64_LIMIT else object
+    w = np.array(weights, dtype=dtype)
+    low = (n - 1) // 2
+    split = low + 1
+    s_low = np.hstack([np.ones((1 << low, 1), dtype=dtype), _sign_table(low, dtype)])
+    s_high = _sign_table(n - split, dtype)
+    q_low = ((s_low @ w[:split, :split]) * s_low).sum(axis=1)
+    q_high = ((s_high @ w[split:, split:]) * s_high).sum(axis=1)
+    w_cross = w[split:, :split] @ s_low.T
+    rows = max(1, ENUM_BLOCK >> low)
     best_val = None
-    best_mask = 0
-    for code in range(count):
-        signs = [1] + [1 - 2 * (code >> (i - 1) & 1) for i in range(1, n)]
-        val = _cut_from_signs(weights, signs)
-        if best_val is None or val > best_val:
-            best_val = val
-            best_mask = code << 1
-    return best_val, best_mask
+    best_code = 0
+    for start in range(0, len(s_high), rows):
+        stop = start + rows
+        quad = q_high[start:stop, None] + q_low[None, :] + 2 * (s_high[start:stop] @ w_cross)
+        cuts = (2 * total - quad) // 4
+        at = int(np.argmax(cuts))
+        value = int(cuts.flat[at])
+        if best_val is None or value > best_val:
+            best_val = value
+            best_code = (start << low) + at
+    return best_val, best_code << 1
 
 
 def _separate_triangles(x: np.ndarray, cap: int):
@@ -320,12 +348,9 @@ class _Search:
         rng = np.random.default_rng((self.seed, node.node_id))
 
         def solve(objective):
-            bld = SdpBuilder(n)
-            for i in range(n):
-                bld.add_eq([(i, i, 1.0)], 1.0)
-            sol = sdp_solve(bld.build(-objective), tol=1e-7, max_iterations=60)
+            sol = sdp_solve(UnitDiagonalSdp(-objective), tol=1e-7, max_iterations=60)
             upper = -sol.certified_lower_bound(float(n))
-            return upper, sol.x[:n, :n]
+            return upper, sol.x
 
         upper, x = solve(quarter)
         node.anchor_row = np.abs(x[0, 1:])
@@ -351,6 +376,9 @@ class _Search:
         gam = np.zeros(len(triangles))
         stalls = 0
         for _ in range(TRIANGLE_STEPS):
+            # Every bound so far is certified, so stopping early stays sound.
+            if self._elapsed() > self.time_limit:
+                break
             objective = quarter.copy()
             for g_val, (i, j, k, a, b, c) in zip(gam, triangles):
                 if g_val:

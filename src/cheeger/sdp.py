@@ -11,6 +11,12 @@ Everything downstream consumes *certified* bounds: for any dual vector y,
 holds for every primal-feasible X whose trace is at most trace_bound, so
 a valid bound survives loose convergence or outright solver failure.
 
+``sdp_solve`` reads a problem only through ``dim``, ``c``, ``rhs``,
+``op_a`` (X -> A(X)), ``op_at`` (y -> A^T y), ``schur(W)`` (the matrix
+<A_i, W A_j W>) and ``row_norms()``.  ``SdpProblem`` implements them for
+general rows built by ``SdpBuilder``; ``UnitDiagonalSdp`` implements the
+max-cut rows diag(X) = 1 elementwise, with bit-identical results.
+
 The kernel is dense and meant for blocks up to a few hundred rows.
 """
 
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_triangular
@@ -115,6 +122,70 @@ class SdpProblem:
     def rhs(self) -> np.ndarray:
         return np.array([con.rhs for con in self.constraints])
 
+    def row_norms(self) -> np.ndarray:
+        return np.array([con.norm() for con in self.constraints])
+
+    @cached_property
+    def _gather(self):
+        """Row indices by kind, sparse rows padded into (rows, cols, vals)."""
+        sparse_idx = [k for k, con in enumerate(self.constraints) if con.dense is None]
+        dense_idx = [k for k, con in enumerate(self.constraints) if con.dense is not None]
+        width = max((len(self.constraints[k].vals) for k in sparse_idx), default=0)
+        rows = np.zeros((len(sparse_idx), width), dtype=np.intp)
+        cols = np.zeros((len(sparse_idx), width), dtype=np.intp)
+        vals = np.zeros((len(sparse_idx), width))
+        for slot, k in enumerate(sparse_idx):
+            con = self.constraints[k]
+            nnz = len(con.vals)
+            rows[slot, :nnz] = con.rows
+            cols[slot, :nnz] = con.cols
+            vals[slot, :nnz] = con.vals
+        return sparse_idx, dense_idx, rows, cols, vals
+
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """The NT-scaled Schur complement M_ij = <A_i, W A_j W>.
+
+        Each column costs one congruence plus one fancy gather over all
+        sparse rows instead of a Python-level loop of inner products.
+        """
+        sparse_idx, dense_idx, rows, cols, vals = self._gather
+        m = len(self.constraints)
+        mat = np.empty((m, m))
+        for j, con in enumerate(self.constraints):
+            waw = con.congruence(w)
+            if sparse_idx:
+                mat[sparse_idx, j] = np.einsum("ik,ik->i", vals, waw[rows, cols])
+            for k in dense_idx:
+                mat[k, j] = self.constraints[k].inner(waw)
+        return _sym(mat)
+
+
+class UnitDiagonalSdp:
+    """min <C, X> s.t. diag(X) = 1, X PSD: the max-cut relaxation.
+
+    Every operator is elementwise, and each agrees bit for bit with the
+    same rows built as ``SdpBuilder`` constraints: A^T y skips no entry
+    but adds 0.0 so that a -0.0 multiplier leaves +0.0, and the Schur
+    complement <e_i e_i^T, W e_j e_j^T W> is the single product W_ij^2.
+    """
+
+    def __init__(self, c: np.ndarray):
+        self.c = np.asarray(c, dtype=float)
+        self.dim = self.c.shape[0]
+        self.rhs = np.ones(self.dim)
+
+    def op_a(self, x: np.ndarray) -> np.ndarray:
+        return np.diagonal(x).copy()
+
+    def op_at(self, y: np.ndarray) -> np.ndarray:
+        return np.diag(y + 0.0)
+
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        return _sym(w * w)
+
+    def row_norms(self) -> np.ndarray:
+        return np.ones(self.dim)
+
 
 class SdpBuilder:
     """Assemble a problem over an n x n block plus scalar slack entries.
@@ -175,7 +246,7 @@ class SdpBuilder:
 
 @dataclass
 class SdpSolution:
-    problem: SdpProblem
+    problem: SdpProblem | UnitDiagonalSdp
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -236,46 +307,9 @@ def _max_step(s: np.ndarray, d: np.ndarray) -> float:
     return -1.0 / lam
 
 
-class _SchurAssembler:
-    """Vectorized <A_i, W A_j W> assembly.
-
-    Sparse rows are padded into rectangular gather tables once, so each
-    Schur column costs one congruence plus one fancy gather over all rows
-    instead of a Python-level loop of inner products.
-    """
-
-    def __init__(self, constraints: list[Constraint]):
-        self.constraints = constraints
-        self.sparse_idx = [k for k, c in enumerate(constraints) if c.dense is None]
-        self.dense_idx = [k for k, c in enumerate(constraints) if c.dense is not None]
-        if self.sparse_idx:
-            width = max(len(constraints[k].vals) for k in self.sparse_idx)
-            ms = len(self.sparse_idx)
-            self.rows = np.zeros((ms, width), dtype=np.intp)
-            self.cols = np.zeros((ms, width), dtype=np.intp)
-            self.vals = np.zeros((ms, width))
-            for slot, k in enumerate(self.sparse_idx):
-                con = constraints[k]
-                nnz = len(con.vals)
-                self.rows[slot, :nnz] = con.rows
-                self.cols[slot, :nnz] = con.cols
-                self.vals[slot, :nnz] = con.vals
-
-    def build(self, w: np.ndarray) -> np.ndarray:
-        m = len(self.constraints)
-        mat = np.empty((m, m))
-        for j, con in enumerate(self.constraints):
-            waw = con.congruence(w)
-            if self.sparse_idx:
-                mat[self.sparse_idx, j] = np.einsum(
-                    "ik,ik->i", self.vals, waw[self.rows, self.cols]
-                )
-            for k in self.dense_idx:
-                mat[k, j] = self.constraints[k].inner(waw)
-        return _sym(mat)
-
-
-def sdp_solve(prob: SdpProblem, tol: float = 1e-8, max_iterations: int = 100) -> SdpSolution:
+def sdp_solve(
+    prob: SdpProblem | UnitDiagonalSdp, tol: float = 1e-8, max_iterations: int = 100
+) -> SdpSolution:
     """Run the interior-point iteration; always returns a usable solution.
 
     The status is honest: "optimal" only when the relative gap and both
@@ -283,13 +317,13 @@ def sdp_solve(prob: SdpProblem, tol: float = 1e-8, max_iterations: int = 100) ->
     through SdpSolution.certified_lower_bound regardless of status.
     """
     n = prob.dim
-    m = len(prob.constraints)
+    b = prob.rhs
+    m = len(b)
     if n > DIMENSION_CAP:
         raise SdpError(f"dimension {n} exceeds cap {DIMENSION_CAP}")
     if m == 0:
         raise SdpError("problem has no constraints")
 
-    b = prob.rhs
     # Internal objective scaling keeps iterations well conditioned when
     # weights span many orders of magnitude; results are reported unscaled.
     scale = max(1.0, float(np.linalg.norm(prob.c)))
@@ -297,14 +331,13 @@ def sdp_solve(prob: SdpProblem, tol: float = 1e-8, max_iterations: int = 100) ->
 
     norm_b = 1.0 + float(np.linalg.norm(b))
     norm_c = 1.0 + float(np.linalg.norm(c))
-    con_norms = [con.norm() for con in prob.constraints]
+    con_norms = prob.row_norms()
     xi = n * max(1.0, max((1.0 + abs(bi)) / (1.0 + nm) for bi, nm in zip(b, con_norms)))
     eta = max(1.0, max(con_norms, default=1.0), float(np.linalg.norm(c)))
 
     x = xi * np.eye(n)
     z = eta * np.eye(n)
     y = np.zeros(m)
-    assembler = _SchurAssembler(prob.constraints)
 
     best = None
     status = "max_iterations"
@@ -341,7 +374,7 @@ def sdp_solve(prob: SdpProblem, tol: float = 1e-8, max_iterations: int = 100) ->
             mu = gap / n
             try:
                 w, z_inv = _nt_scaling(x, z)
-                fact = _robust_cho_factor(assembler.build(w))
+                fact = _robust_cho_factor(prob.schur(w))
                 a_wrdw = prob.op_a(w @ rd @ w)
 
                 def direction(rc):

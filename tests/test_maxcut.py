@@ -2,10 +2,13 @@
 
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheeger import maxcut
 from cheeger.graphs import complete, cycle, path
@@ -118,6 +121,91 @@ def test_enumerate_wide_weights_agree_with_scaled_instance():
     assert wide_mask == mask
 
 
+def _seed_cut_from_signs(weights, signs):
+    cut = 0
+    n = len(weights)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if signs[i] != signs[j]:
+                cut += weights[i][j]
+    return cut
+
+
+def _seed_enumerate_maxcut(weights):
+    """The original enumeration: one full sign table, or a big-int loop."""
+    weights = [list(row) for row in weights]
+    n = len(weights)
+    if n == 1:
+        return 0, 0
+    total = sum(weights[i][j] for i in range(n) for j in range(i + 1, n))
+    max_w = max((abs(weights[i][j]) for i in range(n) for j in range(i + 1, n)), default=0)
+    count = 1 << (n - 1)
+    if max_w * n * n < maxcut.ENUM_INT64_LIMIT:
+        w64 = np.asarray(weights, dtype=np.int64)
+        codes = np.arange(count, dtype=np.uint32)
+        signs = np.ones((count, n), dtype=np.int64)
+        for i in range(1, n):
+            signs[:, i] = 1 - 2 * ((codes >> (i - 1)) & 1).astype(np.int64)
+        quad = np.einsum("bi,ij,bj->b", signs, w64, signs)
+        cuts = (2 * total - quad) // 4
+        best = int(np.argmax(cuts))
+        return int(cuts[best]), int(best) << 1
+    best_val = None
+    best_mask = 0
+    for code in range(count):
+        signs = [1] + [1 - 2 * (code >> (i - 1) & 1) for i in range(1, n)]
+        val = _seed_cut_from_signs(weights, signs)
+        if best_val is None or val > best_val:
+            best_val = val
+            best_mask = code << 1
+    return best_val, best_mask
+
+
+@st.composite
+def _weights(draw, min_n=1, max_n=12):
+    """Symmetric zero-diagonal weights; narrow ranges make ties common."""
+    n = draw(st.integers(min_n, max_n))
+    bound = draw(st.sampled_from([0, 1, 3, 50]))
+    entries = draw(
+        st.lists(
+            st.integers(-bound, bound),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
+    )
+    scale = draw(st.sampled_from([1, 1 << 50]))
+    w = [[0] * n for _ in range(n)]
+    pairs = iter(entries)
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = next(pairs) * scale
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weights())
+def test_enumerate_matches_seed_enumeration(w):
+    # Same value and the same (first in code order) maximizer as the full
+    # table, on both the int64 and the big-integer path.
+    value, mask = enumerate_maxcut(w)
+    assert (value, mask) == _seed_enumerate_maxcut(w)
+    assert type(value) is int and type(mask) is int
+
+
+def test_enumerate_memory_stays_bounded():
+    # A full 2^21 x 22 int64 sign table alone would take 369 MB.
+    rng = random.Random(22)
+    inst = _random_instance(rng, 22)
+    tracemalloc.start()
+    try:
+        value, mask = enumerate_maxcut(inst.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert inst.cut_weight(mask) == value
+
+
 # -- exact solves ----------------------------------------------------------
 
 
@@ -144,6 +232,18 @@ def test_random_instances_match_enumeration():
         assert res.value == reference
         assert inst.cut_weight(res.mask) == reference
         assert res.best_bound == res.value
+
+
+@settings(max_examples=30, deadline=None)
+@given(_weights(min_n=5), st.integers(0, 3))
+def test_solver_matches_enumeration(w, seed):
+    # leaf_size=4 sends every order above 4 through node SDP bounds.
+    inst = MaxCutInstance.build(w)
+    reference, _ = enumerate_maxcut(inst.weights)
+    res = solve_maxcut(inst, leaf_size=4, seed=seed)
+    assert res.status == "optimal"
+    assert res.value == reference
+    assert inst.cut_weight(res.mask) == reference
 
 
 def test_bisection_instance_of_path_graph():
@@ -214,6 +314,29 @@ def test_time_limit_zero_stops_after_root():
     res = solve_maxcut(red.instance, time_limit=0.0)
     assert res.status == "limit"
     assert res.best_bound >= res.value
+
+
+def test_time_limit_stops_triangle_loop(monkeypatch):
+    # Without a limit this root closes after four triangle solves.  Time
+    # runs out after the first one: the node must stop there and keep the
+    # certified bound it has.
+    inst = _random_instance(random.Random(0), 12)
+    original = maxcut.sdp_solve
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(maxcut, "sdp_solve", counting_solve)
+    monkeypatch.setattr(
+        maxcut._Search, "_elapsed", lambda self: 0.0 if len(calls) < 2 else 100.0
+    )
+    res = solve_maxcut(inst, leaf_size=4, time_limit=50.0)
+    assert len(calls) == 2
+    assert res.status == "limit"
+    assert res.best_bound >= res.value
+    assert res.value == enumerate_maxcut(inst.weights)[0]
 
 
 # -- reproducibility -------------------------------------------------------

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cheeger.graphs import brute_force_bisection, complete, cycle, gnp, laplacian
+from cheeger.maxcut import _signed_laplacian
 from cheeger.sdp import (
     Constraint,
     SdpBuilder,
     SdpError,
+    UnitDiagonalSdp,
     dump_problem,
     sdp_solve,
 )
@@ -100,6 +102,40 @@ def test_maxcut_relaxation_value():
     sol = sdp_solve(bld.build(-laplacian(g) / 4.0), tol=1e-8)
     assert sol.status == "optimal"
     assert -sol.primal_obj == pytest.approx(5.0 * lam_max / 4.0, abs=1e-6)
+
+
+def _node_objective(rng, n, triangles):
+    """A max-cut node objective: quarter Laplacian plus dualized triangles."""
+    w = np.triu(rng.integers(-20, 21, size=(n, n)), 1)
+    obj = _signed_laplacian((w + w.T).tolist()) / 4.0
+    for _ in range(triangles):
+        i, j, k = sorted(rng.choice(n, 3, replace=False))
+        g_val = float(rng.random())
+        for a, b, sign in ((i, j, 1), (i, k, -1), (j, k, -1)):
+            obj[a, b] += g_val * sign / 2.0
+            obj[b, a] += g_val * sign / 2.0
+    return obj
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unit_diagonal_operator_is_bit_identical(seed):
+    # The elementwise operator must reproduce the generic diagonal rows
+    # exactly: every iterate, hence every certified node bound.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 26))
+    obj = _node_objective(rng, n, triangles=0 if seed % 2 else 3 * n)
+    bld = SdpBuilder(n)
+    for i in range(n):
+        bld.add_eq([(i, i, 1.0)], 1.0)
+    for iters in (3, 60):
+        generic = sdp_solve(bld.build(-obj), tol=1e-7, max_iterations=iters)
+        unit = sdp_solve(UnitDiagonalSdp(-obj), tol=1e-7, max_iterations=iters)
+        for field in ("x", "y", "z"):
+            assert np.array_equal(getattr(generic, field), getattr(unit, field))
+        for field in ("dual_obj", "dual_slack_min_eig", "iterations", "status"):
+            assert getattr(generic, field) == getattr(unit, field)
+        if iters == 3:
+            assert unit.status == "max_iterations"
 
 
 def test_slack_rows_enforce_inequalities():
