@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .annealing import best_expansion_witness
 from .graphs import Graph, VertexSubset, cut_value
-from .maxcut import solve_maxcut
+from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
 from .report import SolveReport, TraceRow
 from .transforms import dinkelbach_to_maxcut
 
@@ -32,9 +32,6 @@ log = logging.getLogger(__name__)
 # Beyond this magnitude the vectorized enumeration path always falls
 # back to exact big-integer evaluation; worth flagging.
 WIDE_WEIGHT_LIMIT = 1 << 63
-
-DEFAULT_NODE_LIMIT = 10**6
-DEFAULT_TIME_LIMIT = 3600.0
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,13 @@ injected value.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 import threading
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -103,27 +106,18 @@ def _signed_laplacian(weights) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def _cut_from_signs(weights, signs) -> int:
-    """Exact cut value of a +-1 assignment (Python integer arithmetic)."""
-    total = 0
-    cut = 0
-    n = len(weights)
-    for i in range(n):
-        row = weights[i]
-        si = signs[i]
-        for j in range(i + 1, n):
-            total += row[j]
-            if si != signs[j]:
-                cut += row[j]
-    return cut
-
-
 def improve_cut(weights, signs) -> tuple[int, list[int]]:
-    """Steepest single-flip descent; returns the improved cut and signs."""
+    """Steepest single-flip descent; returns the improved cut and signs.
+
+    Weights are symmetric with a zero diagonal and signs are +-1.  With
+    r = W s, the starting cut is exact integer arithmetic on sums the
+    descent needs anyway: 4 cut = sum(W) - s.r, because sum(W) counts
+    each pair twice and s.r counts an uncut pair +2w and a cut one -2w.
+    """
     n = len(weights)
     s = list(signs)
-    r = [sum(weights[i][j] * s[j] for j in range(n)) for i in range(n)]
-    value = _cut_from_signs(weights, s)
+    r = [sum(map(operator.mul, row, s)) for row in weights]
+    value = (sum(map(sum, weights)) - sum(map(operator.mul, s, r))) // 4
     while True:
         best_gain = 0
         best_i = -1
@@ -219,23 +213,31 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     return best_val, best_code << 1
 
 
+@cache
+def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns i < j < k of every vertex triple, in lexicographic order."""
+    t = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    return t[:, 0], t[:, 1], t[:, 2]
+
+
+# Sign patterns (a, b, c) of a X_ij + b X_ik + c X_jk >= -1, one per column.
+_TRIANGLE_SIGNS = np.array(((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))).T
+
+
 def _separate_triangles(x: np.ndarray, cap: int):
-    """Most-violated triangle inequalities at x, as (i, j, k, a, b, c)."""
-    n = x.shape[0]
-    found = []
-    patterns = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            xij = x[i, j]
-            for k in range(j + 1, n):
-                xik = x[i, k]
-                xjk = x[j, k]
-                for a, b, c in patterns:
-                    viol = -(a * xij + b * xik + c * xjk) - 1.0
-                    if viol > 1e-4:
-                        found.append((viol, i, j, k, a, b, c))
-    found.sort(key=lambda t: (-t[0], t[1:]))
-    return [t[1:] for t in found[:cap]]
+    """Most-violated triangle inequalities at x, as (i, j, k, a, b, c).
+
+    The violation -(a x_ij + b x_ik + c x_jk) - 1 is evaluated in that
+    order, and ties break on (i, j, k, a, b, c), so the selection is
+    exactly that of a plain loop over triples and patterns.
+    """
+    i, j, k = _triples(x.shape[0])
+    a, b, c = _TRIANGLE_SIGNS
+    viol = -(a * x[i, j][:, None] + b * x[i, k][:, None] + c * x[j, k][:, None]) - 1.0
+    t, p = np.nonzero(viol > 1e-4)
+    cols = (i[t], j[t], k[t], a[p], b[p], c[p])
+    order = np.lexsort(cols[::-1] + (-viol[t, p],))[:cap]
+    return list(zip(*(col[order].tolist() for col in cols)))
 
 
 def contract_pair(weights, pick, rel):

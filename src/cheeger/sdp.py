@@ -18,16 +18,29 @@ general rows built by ``SdpBuilder``; ``UnitDiagonalSdp`` implements the
 max-cut rows diag(X) = 1 elementwise, with bit-identical results.
 
 The kernel is dense and meant for blocks up to a few hundred rows.
+
+Node problems have a few dozen rows, where scipy's wrappers (input checks, a
+workspace query per ``eigh``, batching dispatch) cost more than the
+LAPACK work itself.  The kernels therefore call the routines those
+wrappers call -- ``dsyevr``, ``dpotrf``, ``dpotrs`` and ``dtrtrs`` --
+directly, with the same arguments and the same ``dsyevr`` workspace
+sizes (queried once per dimension), so every iterate is bit-identical
+to the wrapped calls.  The wrappers' failures are kept too: non-finite
+input raises ``ValueError`` and a nonzero LAPACK ``info`` raises
+``LinAlgError``, which the iteration answers as before.  ``np.vdot``
+replaces ``np.tensordot`` for <A, B>; both reduce to the same BLAS dot
+product over the same row-major element order.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_triangular
+from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +94,7 @@ class Constraint:
 
     def inner(self, x: np.ndarray) -> float:
         if self.dense is not None:
-            return float(np.tensordot(self.dense, x))
+            return float(np.vdot(self.dense, x))
         return float(np.dot(self.vals, x[self.rows, self.cols]))
 
     def add_into(self, out: np.ndarray, scale: float):
@@ -271,37 +284,101 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _check_finite(a: np.ndarray):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+@cache
+def _syevr_workspace(n: int) -> dict:
+    """The dsyevr workspace sizes scipy.linalg.eigh queries on every call."""
+    query = lapack.get_lapack_funcs("syevr_lwork", dtype=np.float64)
+    lwork, liwork = lapack._compute_lwork(query, n=n, lower=True)
+    return {"lwork": lwork, "liwork": liwork}
+
+
+def _eigh(a: np.ndarray, vectors: bool = True):
+    """scipy.linalg.eigh(a) (lower triangle, LAPACK dsyevr), without its overhead."""
+    _check_finite(a)
+    w, v, _, _, info = lapack.dsyevr(
+        a, compute_v=int(vectors), lower=True, **_syevr_workspace(a.shape[0])
+    )
+    if info != 0:
+        raise LinAlgError(f"dsyevr failed with info {info}")
+    return (w, v) if vectors else w
+
+
+def _cholesky(a: np.ndarray, clean: bool = True) -> np.ndarray:
+    """Lower Cholesky factor as scipy.linalg.cholesky (clean=True) or
+    cho_factor (clean=False, upper triangle left as in ``a``) return it."""
+    _check_finite(a)
+    c, info = lapack.dpotrf(a, lower=True, clean=clean)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve((c, True), b) for a factor from ``_cholesky``.
+
+    Only ``b`` is checked: a factor of a finite matrix is finite.
+    """
+    _check_finite(b)
+    x, info = lapack.dpotrs(c, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.solve_triangular(l, b, lower=True) for a factor from
+    ``_cholesky``: finite and in Fortran order, which scipy passes as is."""
+    _check_finite(b)
+    x, info = lapack.dtrtrs(l, b, lower=True)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def _nt_scaling(x: np.ndarray, z: np.ndarray):
     """Return (W, Z^-1) where W is the scaling point with W Z W = X."""
-    dz, uz = eigh(z)
+    dz, uz = _eigh(z)
     dz = np.maximum(dz, 1e-300)
     sq = np.sqrt(dz)
     z_half = (uz * sq) @ uz.T
     z_ihalf = (uz / sq) @ uz.T
     z_inv = (uz / dz) @ uz.T
     t = _sym(z_half @ x @ z_half)
-    dt, ut = eigh(t)
+    dt, ut = _eigh(t)
     dt = np.maximum(dt, 1e-300)
     t_half = (ut * np.sqrt(dt)) @ ut.T
     w = _sym(z_ihalf @ t_half @ z_ihalf)
     return w, _sym(z_inv)
 
 
-def _max_step(s: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha keeping S + alpha D positive semidefinite."""
+def _step_factor(s: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of S plus a small jitter; None if S is too indefinite."""
     n = s.shape[0]
     jitter = 1e-12 * max(1.0, float(np.trace(s)) / n)
     for _ in range(5):
         try:
-            l = cholesky(s + jitter * np.eye(n), lower=True)
-            break
-        except np.linalg.LinAlgError:
+            return _cholesky(s + jitter * np.eye(n))
+        except LinAlgError:
             jitter *= 100.0
-    else:
+    return None
+
+
+def _max_step(l: np.ndarray | None, d: np.ndarray) -> float:
+    """Largest alpha keeping S + alpha D PSD, with l = _step_factor(S)."""
+    if l is None:
         return 0.0
-    a = solve_triangular(l, d, lower=True)
-    a = solve_triangular(l, a.T, lower=True)
-    lam = float(np.min(eigh(_sym(a), eigvals_only=True)))
+    a = _solve_lower(l, d)
+    a = _solve_lower(l, a.T)
+    lam = float(np.min(_eigh(_sym(a), vectors=False)))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -352,9 +429,9 @@ def sdp_solve(
             rp = b - prob.op_a(x)
             rd = c - prob.op_at(y) - z
 
-            pobj = float(np.tensordot(c, x))
+            pobj = float(np.vdot(c, x))
             dobj = float(b @ y)
-            gap = float(np.tensordot(x, z))
+            gap = float(np.vdot(x, z))
             rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             pres = float(np.linalg.norm(rp)) / norm_b
             dres = float(np.linalg.norm(rd)) / norm_c
@@ -378,28 +455,32 @@ def sdp_solve(
                 a_wrdw = prob.op_a(w @ rd @ w)
 
                 def direction(rc):
-                    dy = cho_solve(fact, rp - prob.op_a(rc) + a_wrdw)
-                    dz = _sym(rd - prob.op_at(dy))
-                    dx = _sym(rc + w @ (prob.op_at(dy) - rd) @ w)
+                    dy = _cho_solve(fact, rp - prob.op_a(rc) + a_wrdw)
+                    aty = prob.op_at(dy)
+                    dz = _sym(rd - aty)
+                    dx = _sym(rc + w @ (aty - rd) @ w)
                     return dy, dx, dz
 
                 dy_a, dx_a, dz_a = direction(-x)
-                ap = min(1.0, _max_step(x, dx_a))
-                ad = min(1.0, _max_step(z, dz_a))
-                mu_aff = float(np.tensordot(x + ap * dx_a, z + ad * dz_a)) / n
+                # X and Z stay fixed through both step-length searches.
+                lx = _step_factor(x)
+                lz = _step_factor(z)
+                ap = min(1.0, _max_step(lx, dx_a))
+                ad = min(1.0, _max_step(lz, dz_a))
+                mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a)) / n
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
 
                 dy, dx, dz = direction(sigma * mu * z_inv - x)
                 tau = 0.95 if it <= 3 else 0.98
-                ap = min(1.0, tau * _max_step(x, dx))
-                ad = min(1.0, tau * _max_step(z, dz))
+                ap = min(1.0, tau * _max_step(lx, dx))
+                ad = min(1.0, tau * _max_step(lz, dz))
                 if ap <= 1e-10 and ad <= 1e-10:
                     status = "numerical_failure"
                     break
                 x = _sym(x + ap * dx)
                 y = y + ad * dy
                 z = _sym(z + ad * dz)
-            except (np.linalg.LinAlgError, SdpError, ValueError):
+            except (LinAlgError, SdpError, ValueError):
                 status = "numerical_failure"
                 break
 
@@ -416,14 +497,14 @@ def sdp_solve(
     # certificate for the original data is scale * y.
     y_orig = scale * y
     slack = prob.c - prob.op_at(y_orig)
-    min_eig = float(np.min(eigh(_sym(slack), eigvals_only=True)))
+    min_eig = float(np.min(_eigh(_sym(slack), vectors=False)))
 
     return SdpSolution(
         problem=prob,
         x=x,
         y=y_orig,
         z=scale * z,
-        primal_obj=float(np.tensordot(prob.c, x)),
+        primal_obj=float(np.vdot(prob.c, x)),
         dual_obj=float(b @ y_orig),
         status=status,
         rel_gap=rel_out,
@@ -438,30 +519,7 @@ def _robust_cho_factor(mat: np.ndarray):
     bump = 1e-13 * max(1.0, float(np.trace(mat)) / max(1, mat.shape[0]))
     for _ in range(6):
         try:
-            return cho_factor(mat + bump * np.eye(mat.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
+            return _cholesky(mat + bump * np.eye(mat.shape[0]), clean=False)
+        except LinAlgError:
             bump *= 100.0
     raise SdpError("Schur complement not positive definite")
-
-
-def dump_problem(prob: SdpProblem) -> str:
-    """Plain-text triplet dump, for debugging by eye or by diff."""
-    lines = [f"dim {prob.dim} constraints {len(prob.constraints)}"]
-    ii, jj = np.nonzero(prob.c)
-    pairs = [(i, j) for i, j in zip(ii, jj) if i <= j]
-    lines.append(f"objective nnz {len(pairs)}")
-    for i, j in pairs:
-        lines.append(f"  0 {i} {j} {prob.c[i, j]:.17g}")
-    for idx, con in enumerate(prob.constraints, start=1):
-        if con.dense is not None:
-            ii, jj = np.nonzero(con.dense)
-            trip = [(i, j, con.dense[i, j]) for i, j in zip(ii, jj) if i <= j]
-        else:
-            trip = [
-                (i, j, v if i == j else 2 * v)
-                for i, j, v in zip(con.rows, con.cols, con.vals)
-                if i <= j
-            ]
-        lines.append(f"constraint {idx} rhs {con.rhs:.17g} nnz {len(trip)}")
-        lines.extend(f"  {idx} {i} {j} {v:.17g}" for i, j, v in trip)
-    return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .annealing import anneal_bisection
 from .bounds import cheap_bisection_bound, spectral_bound
 from .graphs import Graph, VertexSubset, cut_value
-from .maxcut import solve_maxcut
+from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
 from .report import BoundRow, SolveReport
 from .sdp import SdpError
 from .transforms import bisection_to_maxcut
@@ -43,9 +43,6 @@ PRE_RESTARTS = 1
 EXACT_PHASE_RESTARTS = 30
 # Safety slack when rationalizing the fallback eigenvalue bound.
 SPECTRAL_SLACK = 1e-6
-
-DEFAULT_NODE_LIMIT = 10**6
-DEFAULT_TIME_LIMIT = 3600.0
 
 
 class LimitExceeded(RuntimeError):

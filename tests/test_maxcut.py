@@ -162,7 +162,7 @@ def _seed_enumerate_maxcut(weights):
 
 
 @st.composite
-def _weights(draw, min_n=1, max_n=12):
+def _weights(draw, min_n=1, max_n=12, scales=(1, 1 << 50)):
     """Symmetric zero-diagonal weights; narrow ranges make ties common."""
     n = draw(st.integers(min_n, max_n))
     bound = draw(st.sampled_from([0, 1, 3, 50]))
@@ -173,7 +173,7 @@ def _weights(draw, min_n=1, max_n=12):
             max_size=n * (n - 1) // 2,
         )
     )
-    scale = draw(st.sampled_from([1, 1 << 50]))
+    scale = draw(st.sampled_from(scales))
     w = [[0] * n for _ in range(n)]
     pairs = iter(entries)
     for i in range(n):
@@ -190,6 +190,97 @@ def test_enumerate_matches_seed_enumeration(w):
     value, mask = enumerate_maxcut(w)
     assert (value, mask) == _seed_enumerate_maxcut(w)
     assert type(value) is int and type(mask) is int
+
+
+def _seed_improve_cut(weights, signs):
+    """The original descent, which starts from a full O(n^2) cut count."""
+    n = len(weights)
+    s = list(signs)
+    r = [sum(weights[i][j] * s[j] for j in range(n)) for i in range(n)]
+    value = _seed_cut_from_signs(weights, s)
+    while True:
+        best_gain = 0
+        best_i = -1
+        for i in range(n):
+            gain = s[i] * r[i]
+            if gain > best_gain:
+                best_gain = gain
+                best_i = i
+        if best_i < 0:
+            return value, s
+        s[best_i] = -s[best_i]
+        value += best_gain
+        for j in range(n):
+            if j != best_i:
+                r[j] += 2 * s[best_i] * weights[best_i][j]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weights(scales=(1, (1 << 70) + 1)), st.data())
+def test_improve_cut_matches_seed_descent(w, data):
+    # Same value, signs and integer type, also past 2^64 (Python ints);
+    # the +1 keeps low bits set, so any float rounding would show.
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(w), max_size=len(w)))
+    value, polished = improve_cut(w, signs)
+    assert (value, polished) == _seed_improve_cut(w, signs)
+    assert type(value) is int
+    assert value == _seed_cut_from_signs(w, polished)
+
+
+def _seed_separate_triangles(x, cap):
+    """The original triple loop over all sign patterns."""
+    n = x.shape[0]
+    found = []
+    patterns = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            xij = x[i, j]
+            for k in range(j + 1, n):
+                xik = x[i, k]
+                xjk = x[j, k]
+                for a, b, c in patterns:
+                    viol = -(a * xij + b * xik + c * xjk) - 1.0
+                    if viol > 1e-4:
+                        found.append((viol, i, j, k, a, b, c))
+    found.sort(key=lambda t: (-t[0], t[1:]))
+    return [t[1:] for t in found[:cap]]
+
+
+@st.composite
+def _unit_diagonal_points(draw):
+    """Symmetric matrices with unit diagonal; few distinct entries tie often."""
+    n = draw(st.integers(1, 9))
+    entry = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.5, 1.0]) | st.floats(-1.5, 1.5)
+    entries = draw(st.lists(entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    x = np.eye(n)
+    pairs = iter(entries)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x[i, j] = x[j, i] = next(pairs)
+    return x
+
+
+def _assert_same_triangles(x, cap):
+    found = maxcut._separate_triangles(x, cap)
+    assert found == _seed_separate_triangles(x, cap)
+    assert all(type(v) is int for t in found for v in t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_diagonal_points(), st.integers(0, 40))
+def test_separate_triangles_matches_seed_loop(x, cap):
+    _assert_same_triangles(x, cap)
+
+
+def test_separate_triangles_matches_seed_loop_on_relaxations():
+    # Node relaxations of random instances, at the engine's cap.
+    rng = random.Random(5)
+    for n in (6, 13, 21, 30):
+        inst = _random_instance(rng, n)
+        obj = -maxcut._signed_laplacian(inst.weights) / 4.0
+        x = maxcut.sdp_solve(maxcut.UnitDiagonalSdp(obj), tol=1e-7, max_iterations=60).x
+        _assert_same_triangles(x, maxcut.TRIANGLE_CAP_PER_VERTEX * n)
+        _assert_same_triangles(np.round(x, 1), maxcut.TRIANGLE_CAP_PER_VERTEX * n)
 
 
 def test_enumerate_memory_stays_bounded():
