@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 CUT_VIOLATION_TOL = 1e-5
 CUTS_PER_ROUND = 500
 MAX_CUT_ROUNDS = 5
+# Interior-point stopping tolerance for every relaxation here.
+SDP_TOL = 1e-7
 # Rounding guard when lifting a float certificate to an integer cut value.
 CEIL_SLACK = 1e-6
 # Every slack attached to a strengthening row stays below this once the
@@ -130,7 +132,7 @@ def _separate_bqp_cuts(x: np.ndarray, existing: set) -> list:
     return found
 
 
-def global_sdp_bound(g: Graph, use_bqp_cuts: bool = False, tol: float = 1e-7) -> float:
+def global_sdp_bound(g: Graph, use_bqp_cuts: bool = False) -> float:
     """Certified lower bound on h(G) from the all-cardinalities relaxation.
 
     Without strengthening the subset-size row is kept at the continuous
@@ -142,7 +144,7 @@ def global_sdp_bound(g: Graph, use_bqp_cuts: bool = False, tol: float = 1e-7) ->
     lap = laplacian(g)
     if not use_bqp_cuts:
         bld = _global_builder(g, n / 2.0, [])
-        sol = sdp_solve(bld.build(lap), tol=tol)
+        sol = sdp_solve(bld.build(lap), tol=SDP_TOL)
         return sol.certified_lower_bound(n / 2.0)
 
     subset_cap = float(n // 2)
@@ -151,7 +153,7 @@ def global_sdp_bound(g: Graph, use_bqp_cuts: bool = False, tol: float = 1e-7) ->
     best = -math.inf
     for round_no in range(MAX_CUT_ROUNDS + 1):
         bld = _global_builder(g, subset_cap, cuts)
-        sol = sdp_solve(bld.build(lap), tol=tol)
+        sol = sdp_solve(bld.build(lap), tol=SDP_TOL)
         trace_cap = subset_cap + CUT_SLACK_TRACE * len(cuts)
         best = max(best, sol.certified_lower_bound(trace_cap))
         if round_no == MAX_CUT_ROUNDS:
@@ -175,7 +177,7 @@ def global_sdp_bound(g: Graph, use_bqp_cuts: bool = False, tol: float = 1e-7) ->
     return best
 
 
-def cheap_bisection_bound(g: Graph, k: int, tol: float = 1e-7) -> Fraction:
+def cheap_bisection_bound(g: Graph, k: int) -> Fraction:
     """Exact-rational lower bound on cut(S)/k over subsets of size k.
 
     Solves the arrow-structured relaxation of the k-bisection, certifies
@@ -185,11 +187,11 @@ def cheap_bisection_bound(g: Graph, k: int, tol: float = 1e-7) -> Fraction:
     """
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
-    cert = bisection_sdp_bound(g, k, tol=tol)
+    cert = bisection_sdp_bound(g, k)
     return Fraction(max(1, math.ceil(cert - CEIL_SLACK)), k)
 
 
-def bisection_sdp_bound(g: Graph, k: int, tol: float = 1e-7) -> float:
+def bisection_sdp_bound(g: Graph, k: int) -> float:
     """Certified lower bound on the cardinality-k bisection cut value."""
     n = g.n
     d = n + 1
@@ -203,5 +205,5 @@ def bisection_sdp_bound(g: Graph, k: int, tol: float = 1e-7) -> float:
     bld.add_eq(jmat, float(k * k))
     for i in range(1, d):
         bld.add_eq([(i, i, 1.0), (0, i, -1.0)], 0.0)
-    sol = sdp_solve(bld.build(obj), tol=tol)
+    sol = sdp_solve(bld.build(obj), tol=SDP_TOL)
     return sol.certified_lower_bound(1.0 + k)

@@ -6,7 +6,8 @@ solve
     Exact h(G) by the chosen method; text, JSON, or one-row CSV output.
 bounds
     Per-cardinality lower and upper bisection bounds from the
-    pre-elimination pass, or one exactly solved cardinality with ``--k``.
+    pre-elimination pass, or with ``--k`` one cardinality solved by the
+    split-and-bound exact step.
 verify
     Check a claimed lower bound on h(G); prints a refuting subset when
     the claim fails.
@@ -30,7 +31,6 @@ import os
 import sys
 from fractions import Fraction
 
-from cheeger.annealing import anneal_bisection
 from cheeger.dinkelbach import dinkelbach_solve
 from cheeger.graphs import (
     GraphFormatError,
@@ -40,7 +40,7 @@ from cheeger.graphs import (
     load_graph,
     sniff_format,
 )
-from cheeger.maxcut import solve_maxcut
+from cheeger.maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
 from cheeger.report import (
     SolveReport,
     bounds_csv,
@@ -50,12 +50,12 @@ from cheeger.report import (
 )
 from cheeger.split_bound import (
     LimitExceeded,
-    cheap_lower_bound,
     pre_eliminate,
+    solve_cardinality,
     split_and_bound,
     verify_lower_bound,
 )
-from cheeger.transforms import TransformError, bisection_to_maxcut, load_instance
+from cheeger.transforms import TransformError, load_instance
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -71,10 +71,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _add_budget_options(p: argparse.ArgumentParser):
-    p.add_argument("--time-limit", type=float, default=3600.0, metavar="S",
-                   help="wall-clock budget in seconds (default 3600)")
-    p.add_argument("--node-limit", type=int, default=10**6, metavar="N",
-                   help="total branch-and-bound node budget (default 1e6)")
+    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+                   metavar="S", help="wall-clock budget in seconds "
+                   f"(default {DEFAULT_TIME_LIMIT:g})")
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT,
+                   metavar="N", help="total branch-and-bound node budget "
+                   f"(default {DEFAULT_NODE_LIMIT})")
     p.add_argument("--workers", type=int, default=1, metavar="W",
                    help="bounding threads in the inner engine (default 1)")
     p.add_argument("--seed", type=int, default=0, metavar="S",
@@ -221,7 +223,13 @@ def _cmd_bounds(args) -> int:
     if args.k is None:
         rows = pre_eliminate(g, seed=args.seed).rows()
     else:
-        rows, limited = _solve_single_k(g, args)
+        if not 1 <= args.k <= g.n // 2:
+            raise GraphFormatError(f"k must lie in [1, {g.n // 2}], got {args.k}")
+        row = solve_cardinality(
+            g, args.k, seed=args.seed, workers=args.workers,
+            node_limit=args.node_limit, time_limit=args.time_limit,
+        )
+        rows, limited = (row,), row.status == "pending"
     if args.format == "json":
         text = _bounds_payload(g, rows)
     elif args.format == "text":
@@ -230,30 +238,6 @@ def _cmd_bounds(args) -> int:
         text = bounds_csv(rows)
     _emit(text, args.out)
     return EXIT_LIMIT if limited else EXIT_OK
-
-
-def _solve_single_k(g, args):
-    """Exactly solve one bisection cardinality; falls back to bounds on limit."""
-    from cheeger.report import BoundRow
-
-    k = args.k
-    if not 1 <= k <= g.n // 2:
-        raise GraphFormatError(f"k must lie in [1, {g.n // 2}], got {k}")
-    ub_cut, witness = anneal_bisection(g, k, seed=args.seed, restarts=30)
-    red = bisection_to_maxcut(g, k, ub_cut)
-    res = solve_maxcut(
-        red.instance, node_limit=args.node_limit,
-        time_limit=args.time_limit, seed=args.seed, workers=args.workers,
-    )
-    if res.status == "optimal":
-        cut = red.offset - res.value
-        subset = red.decode_subset(res.mask)
-        row = BoundRow(k, Fraction(cut, k), Fraction(cut, k), "solved",
-                       subset.indices())
-        return (row,), False
-    lower = cheap_lower_bound(g, k)
-    row = BoundRow(k, lower, Fraction(ub_cut, k), "pending", witness.indices())
-    return (row,), True
 
 
 def _cmd_verify(args) -> int:

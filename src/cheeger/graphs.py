@@ -97,7 +97,6 @@ class Graph:
         if n < 3:
             raise GraphFormatError(f"need at least 3 vertices, got {n}")
         seen: set[tuple[int, int]] = set()
-        masks = [0] * n
         norm: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -109,6 +108,14 @@ class Graph:
                 raise GraphFormatError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
+        # Checked before any per-vertex storage, so memory follows the
+        # edge list rather than the announced vertex count.
+        if len(norm) < n - 1:
+            raise GraphFormatError(
+                f"graph is not connected: {len(norm)} edges cannot span {n} vertices"
+            )
+        masks = [0] * n
+        for u, v in norm:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         g = cls(n=n, edges=tuple(sorted(norm)), adj_masks=tuple(masks))

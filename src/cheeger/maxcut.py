@@ -1,8 +1,8 @@
 """Exact branch-and-bound max-cut over integer-weighted complete graphs.
 
 Upper bounds come from the semidefinite relaxation with unit diagonal,
-optionally tightened by Lagrange-dualized triangle inequalities tuned by
-a projected subgradient with Polyak steps.  Lower bounds come from
+tightened where it pays by Lagrange-dualized triangle inequalities tuned
+by a projected subgradient with Polyak steps.  Lower bounds come from
 hyperplane rounding of the relaxation's matrix followed by single-flip
 descent.  Branching contracts a vertex into vertex 0, once per side, so
 every subproblem is again a plain max-cut on one fewer vertex; small
@@ -277,7 +277,6 @@ class _Search:
         leaf_size,
         seed,
         workers,
-        use_triangles,
         trace,
     ):
         self.node_limit = node_limit
@@ -285,7 +284,6 @@ class _Search:
         self.leaf_size = max(2, leaf_size)
         self.seed = seed
         self.workers = max(1, workers)
-        self.use_triangles = use_triangles
         self.trace = trace
         self.started = time.monotonic()
 
@@ -360,7 +358,7 @@ class _Search:
         local_best = -math.inf
         for signs in gw_round(x, rng):
             local_best = max(local_best, self._offer(node, signs))
-        if self._floor(bound) <= self.incumbent or not self.use_triangles or n < 4:
+        if self._floor(bound) <= self.incumbent or n < 4:
             node.bound = bound
             return
         # Dualizing triangles is worth several extra solves only when the
@@ -535,7 +533,6 @@ def solve_maxcut(
     leaf_size: int = DEFAULT_LEAF_SIZE,
     seed: int = 0,
     workers: int = 1,
-    use_triangles: bool = True,
     trace: list | None = None,
 ) -> MaxCutResult:
     """Solve max-cut exactly, or test it against an injected threshold.
@@ -556,8 +553,6 @@ def solve_maxcut(
         Drives hyperplane rounding; fixed seed makes runs reproducible.
     workers : int
         Concurrent bounding threads; 1 is the deterministic reference.
-    use_triangles : bool
-        Tighten node bounds by dualized triangle inequalities.
     trace : list, optional
         Collects one ``(node id, depth, bound, incumbent)`` row per
         processed node, in processing order.
@@ -570,7 +565,6 @@ def solve_maxcut(
         leaf_size,
         seed,
         workers,
-        use_triangles,
         trace,
     )
     return search.run()

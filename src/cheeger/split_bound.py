@@ -18,6 +18,8 @@ subset lattice:
 A verification mode reuses the loop with the candidate bound installed
 as the starting threshold: the candidate is a valid lower bound on h(G)
 exactly when the run finishes without ever finding a better cut.
+``solve_cardinality`` runs the same exact step on one cardinality with
+no threshold.
 """
 
 from __future__ import annotations
@@ -153,19 +155,53 @@ def pre_eliminate(g: Graph, seed: int = 0, initial_ustar: Fraction | None = None
     return table
 
 
-def _exact_order(table: BoundsTable, order) -> list:
-    survivors = table.survivors()
-    if order is None:
-        return sorted(survivors, key=lambda k: (table.upper(k), k))
-    chosen = [k for k in order if k in survivors]
-    if sorted(chosen) != survivors:
-        raise ValueError("order must cover every surviving cardinality")
-    return chosen
+def _exact_order(table: BoundsTable) -> list:
+    """Survivors in ascending order of their upper bounds."""
+    return sorted(table.survivors(), key=lambda k: (table.upper(k), k))
 
 
 def _ceil_threshold(ustar: Fraction, k: int) -> int:
     """Smallest integer cut NOT beating ratio ustar at cardinality k."""
     return math.ceil(ustar * k)
+
+
+def _exact_bisection(
+    g: Graph,
+    k: int,
+    upper_cut: int,
+    threshold: int | None,
+    seed: int,
+    workers: int,
+    node_limit: int,
+    time_limit: float,
+):
+    """Solve the size-k bisection exactly through its max-cut form.
+
+    ``upper_cut`` is any genuine size-k cut value; it sets the penalty
+    weight.  With a ``threshold`` the engine only has to find a cut
+    strictly below it and otherwise reports "bound-stop"; without one
+    it runs to optimality.  Returns ``(result, cut, subset)``, where the
+    cut and its subset are None unless the engine found the optimum.
+    """
+    red = bisection_to_maxcut(g, k, upper_cut)
+    res = solve_maxcut(
+        red.instance,
+        initial_lb=None if threshold is None else red.offset - threshold,
+        node_limit=node_limit,
+        time_limit=time_limit,
+        seed=seed,
+        workers=workers,
+    )
+    if res.status != "optimal":
+        return res, None, None
+    exact_cut = red.offset - res.value
+    subset = red.decode_subset(res.mask)
+    if subset.size != k or cut_value(g, subset) != exact_cut:
+        raise RuntimeError(
+            f"decoded bisection witness inconsistent at k={k}; "
+            "the reduction or the solver is broken"
+        )
+    return res, exact_cut, subset
 
 
 @dataclass
@@ -185,7 +221,6 @@ def _run_exact_phase(
     node_limit: int,
     time_limit: float,
     started: float,
-    order,
     stop_on_improvement: bool,
 ) -> _ExactPhase:
     """Solve surviving cardinalities against the moving threshold.
@@ -206,7 +241,7 @@ def _run_exact_phase(
         if improved and stop_on_improvement:
             phase.violation = subset
             return phase
-    for k in _exact_order(table, order):
+    for k in _exact_order(table):
         if table.lower[k] >= table.ustar:
             table.status[k] = "eliminated-update"
             continue
@@ -215,15 +250,9 @@ def _run_exact_phase(
         if budget_nodes <= 0 or budget_time <= 0:
             phase.hit_limit = True
             return phase
-        red = bisection_to_maxcut(g, k, table.upper_cut[k])
-        threshold = _ceil_threshold(table.ustar, k)
-        res = solve_maxcut(
-            red.instance,
-            initial_lb=red.offset - threshold,
-            node_limit=budget_nodes,
-            time_limit=budget_time,
-            seed=seed * 131 + k,
-            workers=workers,
+        res, exact_cut, subset = _exact_bisection(
+            g, k, table.upper_cut[k], _ceil_threshold(table.ustar, k),
+            seed * 131 + k, workers, budget_nodes, budget_time,
         )
         phase.attempts += 1
         phase.nodes += res.nodes
@@ -235,13 +264,6 @@ def _run_exact_phase(
         if res.status == "bound-stop":
             table.status[k] = "eliminated-root"
             continue
-        exact_cut = red.offset - res.value
-        subset = red.decode_subset(res.mask)
-        if subset.size != k or cut_value(g, subset) != exact_cut:
-            raise RuntimeError(
-                f"decoded bisection witness inconsistent at k={k}; "
-                "the reduction or the solver is broken"
-            )
         table.status[k] = "solved"
         table.upper_cut[k] = exact_cut
         table.witness[k] = subset
@@ -252,13 +274,38 @@ def _run_exact_phase(
     return phase
 
 
+def solve_cardinality(
+    g: Graph,
+    k: int,
+    seed: int = 0,
+    workers: int = 1,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+    time_limit: float = DEFAULT_TIME_LIMIT,
+) -> BoundRow:
+    """One cardinality through the exact phase's annealing and exact step.
+
+    The size-k bisection is annealed with the exact phase's effort and
+    then solved to optimality with no threshold; ``seed`` drives both.
+    When the budget runs out first the row is "pending" and brackets the
+    optimum between the cheap lower bound and the annealed cut.
+    """
+    cut, subset = anneal_bisection(g, k, seed=seed, restarts=EXACT_PHASE_RESTARTS)
+    _, exact_cut, exact_subset = _exact_bisection(
+        g, k, cut, None, seed, workers, node_limit, time_limit,
+    )
+    if exact_subset is None:
+        return BoundRow(k, cheap_lower_bound(g, k), Fraction(cut, k), "pending",
+                        subset.indices())
+    ratio = Fraction(exact_cut, k)
+    return BoundRow(k, ratio, ratio, "solved", exact_subset.indices())
+
+
 def split_and_bound(
     g: Graph,
     seed: int = 0,
     workers: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
-    order=None,
 ) -> SolveReport:
     """Exact h(G) with witness, by elimination and per-k exact solves.
 
@@ -271,9 +318,6 @@ def split_and_bound(
     workers : int
         Forwarded to the inner branch-and-bound engine.
     node_limit, time_limit : shared budget across all exact solves.
-    order : iterable of int, optional
-        Debug override for the exact-phase processing order; must cover
-        the surviving cardinalities.  The answer does not depend on it.
     """
     started = time.monotonic()
     table = pre_eliminate(g, seed=seed)
@@ -283,7 +327,7 @@ def split_and_bound(
     if interesting:
         phase = _run_exact_phase(
             g, table, seed, workers, node_limit, time_limit,
-            started, order, stop_on_improvement=False,
+            started, stop_on_improvement=False,
         )
     if phase.hit_limit:
         status = "limit"
@@ -351,7 +395,7 @@ def verify_lower_bound(
         return False, table.ustar_witness
     phase = _run_exact_phase(
         g, table, seed, workers, node_limit, time_limit,
-        started, order=None, stop_on_improvement=True,
+        started, stop_on_improvement=True,
     )
     if phase.violation is not None:
         return False, phase.violation

@@ -1,80 +1,38 @@
-"""Reductions from constrained cut problems to unconstrained max-cut.
+"""Closed-form max-cut instances for constrained cut problems.
 
-The chain has two links.  First, a penalized binary quadratic program
-(QUBO) captures the constrained problem exactly once the penalty weight
-clears the best known feasible value.  Second, the standard anchor-vertex
-construction turns any QUBO into a max-cut instance on one extra vertex,
-with the identity
+Each builder writes the weights of a max-cut instance on one extra
+anchor vertex directly, with the identity
 
-    scale * q(x) = offset - cut(z)        for every assignment x,
+    value(x) = offset - cut(z)        for every assignment x,
 
 where z places variable i on the anchor's side exactly when x_i = 1.
-Both links preserve exact integer arithmetic; rational inputs are lifted
-by the least common denominator, which is only ever 1, 2, or 4 here.
+The value is a penalized binary quadratic program that equals the
+constrained objective once the penalty weight clears the best known
+feasible value.  All arithmetic is in exact integers.
 
-Two penalized programs are built on top:
+Two instances are built:
 
 * a fixed-cardinality bisection, penalty on (sum x - k)^2, and
 * the parametric objective gamma_d * cut - gamma_n * size whose sign at
   the optimum drives the ratio-search iteration, with binary slack
   counters encoding the size window 1 <= sum x <= floor(n/2).
 
-The closed-form instance builders bypass the generic chain and write the
-final weights directly; tests hold both routes to coefficient equality.
+The tests hold both builders to coefficient equality with a generic
+route (penalized program, then the standard anchor-vertex reduction)
+that lives there as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .graphs import Graph, VertexSubset
+from .sdp import DIMENSION_CAP
 
 
 class TransformError(ValueError):
-    """Raised when input coefficients fall outside the supported lattice."""
-
-
-@dataclass(frozen=True)
-class QuboProblem:
-    """min x^T Q x + t^T x + c over binary x; Q symmetric, diagonal allowed."""
-
-    quadratic: tuple[tuple[Fraction, ...], ...]
-    linear: tuple[Fraction, ...]
-    constant: Fraction
-
-    @classmethod
-    def build(cls, quadratic, linear, constant) -> "QuboProblem":
-        q = tuple(tuple(Fraction(v) for v in row) for row in quadratic)
-        t = tuple(Fraction(v) for v in linear)
-        d = len(t)
-        if len(q) != d or any(len(row) != d for row in q):
-            raise TransformError("quadratic matrix shape does not match linear term")
-        for i in range(d):
-            for j in range(i):
-                if q[i][j] != q[j][i]:
-                    raise TransformError("quadratic matrix must be symmetric")
-        return cls(quadratic=q, linear=t, constant=Fraction(constant))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.linear)
-
-    def evaluate(self, x) -> Fraction:
-        bits = tuple(x)
-        if len(bits) != self.dimension or any(b not in (0, 1) for b in bits):
-            raise ValueError("assignment must be a 0/1 vector of matching length")
-        total = Fraction(self.constant)
-        for i, bi in enumerate(bits):
-            if not bi:
-                continue
-            total += self.linear[i] + self.quadratic[i][i]
-            row = self.quadratic[i]
-            for j in range(i + 1, self.dimension):
-                if bits[j]:
-                    total += 2 * row[j]
-        return total
+    """Raised on a malformed max-cut instance file."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +95,11 @@ def dump_instance(inst: MaxCutInstance, comment: str | None = None) -> str:
 
 
 def load_instance(source) -> MaxCutInstance:
-    """Parse the :func:`dump_instance` format from text, bytes, or a stream."""
+    """Parse the :func:`dump_instance` format from text, bytes, or a stream.
+
+    Instances above ``sdp.DIMENSION_CAP`` vertices, the relaxation
+    solver's cap, are refused before any weight storage is allocated.
+    """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -159,7 +121,12 @@ def load_instance(source) -> MaxCutInstance:
         raise TransformError(f"line {lineno}: bad header {head!r}") from None
     if n < 2:
         raise TransformError(f"line {lineno}: instance needs at least two vertices")
+    if n > DIMENSION_CAP:
+        raise TransformError(
+            f"line {lineno}: {n} vertices exceed the relaxation cap {DIMENSION_CAP}"
+        )
     weights = [[0] * n for _ in range(n)]
+    seen = set()
     for lineno, toks in rows[1:]:
         if len(toks) != 3:
             raise TransformError(f"line {lineno}: expected 'i j w'")
@@ -169,8 +136,10 @@ def load_instance(source) -> MaxCutInstance:
             raise TransformError(f"line {lineno}: bad entry {toks!r}") from None
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise TransformError(f"line {lineno}: endpoints outside 1..{n} or equal")
-        if weights[u - 1][v - 1]:
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
             raise TransformError(f"line {lineno}: duplicate pair {u} {v}")
+        seen.add(pair)
         weights[u - 1][v - 1] = weights[v - 1][u - 1] = w
     if len(rows) - 1 != m:
         raise TransformError(f"header announces {m} entries, found {len(rows) - 1}")
@@ -181,84 +150,6 @@ def _anchor_decode(mask: int, n: int) -> tuple[int, ...]:
     """Bits x_i = 1 when instance vertex i + 1 sits on the anchor's side."""
     anchor = mask & 1
     return tuple(1 if (mask >> (i + 1) & 1) == anchor else 0 for i in range(n))
-
-
-@dataclass(frozen=True)
-class QuboReduction:
-    """Max-cut form of a QUBO: scale * q(x) = offset - cut for all x."""
-
-    instance: MaxCutInstance
-    offset: int
-    scale: int
-
-    def decode(self, mask: int) -> tuple[int, ...]:
-        return _anchor_decode(mask, self.instance.n - 1)
-
-
-def qubo_to_maxcut(qubo: QuboProblem) -> QuboReduction:
-    """Anchor-vertex reduction of an arbitrary QUBO to max-cut.
-
-    The diagonal is folded into the linear term first (x^2 = x on binary
-    inputs).  Rational coefficients are cleared by their least common
-    denominator, which must divide 4; larger denominators indicate a
-    malformed penalty and raise TransformError.
-    """
-    d = qubo.dimension
-    folded_linear = [qubo.linear[i] + qubo.quadratic[i][i] for i in range(d)]
-    off_diag = [
-        [qubo.quadratic[i][j] if i != j else Fraction(0) for j in range(d)]
-        for i in range(d)
-    ]
-
-    denoms = [qubo.constant.denominator]
-    denoms += [v.denominator for v in folded_linear]
-    denoms += [off_diag[i][j].denominator for i in range(d) for j in range(i + 1, d)]
-    scale = lcm(*denoms) if denoms else 1
-    if 4 % scale:
-        raise TransformError(f"coefficient denominators require scale {scale}, not in {{1, 2, 4}}")
-
-    qs = [[int(scale * off_diag[i][j]) for j in range(d)] for i in range(d)]
-    ts = [int(scale * v) for v in folded_linear]
-    cs = int(scale * qubo.constant)
-
-    weights = [[0] * (d + 1) for _ in range(d + 1)]
-    for i in range(d):
-        w = sum(qs[i]) + ts[i]
-        weights[0][i + 1] = weights[i + 1][0] = w
-        for j in range(i + 1, d):
-            weights[i + 1][j + 1] = weights[j + 1][i + 1] = qs[i][j]
-    pair_sum = sum(qs[i][j] for i in range(d) for j in range(i + 1, d))
-    offset = 2 * pair_sum + sum(ts) + cs
-    return QuboReduction(
-        instance=MaxCutInstance.build(weights), offset=offset, scale=scale
-    )
-
-
-def bisection_to_qubo(g: Graph, k: int, cut_upper_bound: int) -> QuboProblem:
-    """Penalized form of the cardinality-k minimum bisection.
-
-    q(x) = x^T L x + (4u + 1)(sum x - k)^2 with u any upper bound on the
-    optimal bisection.  The penalty exceeds every feasible value, so any
-    assignment off the cardinality shell costs more than the worst
-    feasible subset and minimizers are exactly the optimal bisections.
-    """
-    if not 1 <= k <= g.n // 2:
-        raise ValueError(f"cardinality {k} out of range for n={g.n}")
-    if cut_upper_bound < 1:
-        raise ValueError("cut upper bound must be at least 1 on a connected graph")
-    n = g.n
-    penalty = 4 * cut_upper_bound + 1
-    deg = g.degrees
-    adj = g.adjacency_matrix()
-    quad = [
-        [
-            Fraction(penalty - (1 if adj[i][j] else 0)) if i != j else Fraction(deg[i] + penalty)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    linear = [Fraction(-2 * penalty * k)] * n
-    return QuboProblem.build(quad, linear, Fraction(penalty * k * k))
 
 
 @dataclass(frozen=True)
@@ -335,58 +226,6 @@ def penalty_weight(g: Graph, gamma: Fraction) -> int:
     """
     gn, gd = _ratio_parts(gamma)
     return gn * g.n + gd * min(g.degrees) + 1
-
-
-def dinkelbach_to_qubo(g: Graph, gamma: Fraction) -> QuboProblem:
-    """Penalized QUBO whose minimum is min over F of gamma_d*cut - gamma_n*|S|.
-
-    Variables are the n vertex indicators followed by two binary counters
-    alpha and beta; the penalty sigma multiplies the squared residuals of
-    sum x - alpha.v = 1 and sum x + beta.v = floor(n/2).
-    """
-    gn, gd = _ratio_parts(gamma)
-    n = g.n
-    s = n // 2
-    v = slack_weights(n)
-    nb = len(v)
-    d = n + 2 * nb
-    sigma = penalty_weight(g, gamma)
-
-    quad = [[Fraction(0)] * d for _ in range(d)]
-    linear = [Fraction(0)] * d
-    constant = Fraction(0)
-
-    adj = g.adjacency_matrix()
-    deg = g.degrees
-    for i in range(n):
-        quad[i][i] += gd * deg[i]
-        linear[i] += -gn
-        for j in range(i + 1, n):
-            if adj[i][j]:
-                quad[i][j] -= gd
-                quad[j][i] -= gd
-
-    def add_square(coeffs, shift):
-        # sigma * (sum coeffs[i] z_i + shift)^2
-        nonlocal constant
-        for a in range(d):
-            ca = coeffs[a]
-            if not ca:
-                continue
-            quad[a][a] += sigma * ca * ca
-            linear[a] += 2 * sigma * ca * shift
-            for bq in range(a + 1, d):
-                cb = coeffs[bq]
-                if cb:
-                    quad[a][bq] += sigma * ca * cb
-                    quad[bq][a] += sigma * ca * cb
-        constant += sigma * shift * shift
-
-    first = [1] * n + [-w for w in v] + [0] * nb
-    second = [1] * n + [0] * nb + list(v)
-    add_square(first, -1)
-    add_square(second, -s)
-    return QuboProblem.build(quad, linear, constant)
 
 
 @dataclass(frozen=True)

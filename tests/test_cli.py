@@ -1,11 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import io
 import json
 import sys
+from fractions import Fraction
 
+import pytest
+
+from cheeger import split_bound
 from cheeger.cli import main
-from cheeger.graphs import Graph, dump_graph, load_graph
+from cheeger.graphs import Graph, brute_force_bisection, dump_graph, gnp, load_graph
 from cheeger.transforms import MaxCutInstance, dump_instance
 
 C6_TEXT = "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n"
@@ -115,6 +120,57 @@ def test_bounds_single_cardinality(tmp_path, capsys):
     code, _, err = run(["bounds", "--k", "9", str(p)], capsys)
     assert code == 2
     assert "k must lie" in err
+
+
+def _bounds_k_row(path, k, capsys, *extra):
+    code, out, _ = run(["bounds", "--k", str(k), *extra, str(path)], capsys)
+    header, row = out.splitlines()
+    assert header == "k,lower_num,lower_den,upper_num,upper_den,status"
+    fields = row.split(",")
+    lower = Fraction(int(fields[1]), int(fields[2]))
+    upper = Fraction(int(fields[3]), int(fields[4]))
+    return code, int(fields[0]), lower, upper, fields[5]
+
+
+@pytest.mark.parametrize("n,p,seed", [(10, 0.4, 3), (11, 0.5, 5)])
+def test_bounds_single_cardinality_matches_brute_force(tmp_path, capsys, n, p, seed):
+    g = gnp(n, p, seed=seed)
+    path = tmp_path / "g.graph"
+    path.write_text(dump_graph(g))
+    for k in range(1, g.n // 2 + 1):
+        exact, _ = brute_force_bisection(g, k)
+        assert _bounds_k_row(path, k, capsys) == (
+            0, k, Fraction(exact, k), Fraction(exact, k), "solved")
+
+
+def test_bounds_single_cardinality_limit_brackets_the_optimum(tmp_path, capsys):
+    # Nineteen engine vertices exceed the leaf size, so the root node is
+    # bounded, and with no time left the search stops there.
+    g = gnp(18, 0.4, seed=1)
+    path = tmp_path / "g.graph"
+    path.write_text(dump_graph(g))
+    for k in (3, 5):
+        exact, _ = brute_force_bisection(g, k)
+        code, row_k, lower, upper, status = _bounds_k_row(
+            path, k, capsys, "--time-limit", "0")
+        assert (code, row_k, status) == (3, k, "pending")
+        assert lower <= Fraction(exact, k) <= upper
+
+
+def test_bounds_single_cardinality_checks_the_witness(tmp_path, capsys, monkeypatch):
+    # The exact step's witness check guards --k too: a decoded side of
+    # the wrong size is an error, never a "solved" row.
+    original = split_bound.solve_maxcut
+
+    def flipped(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return dataclasses.replace(res, mask=res.mask ^ 0b10)
+
+    monkeypatch.setattr(split_bound, "solve_maxcut", flipped)
+    p = tmp_path / "c6.graph"
+    p.write_text(C6_TEXT)
+    with pytest.raises(RuntimeError, match="inconsistent at k=3"):
+        main(["bounds", "--k", "3", str(p)])
 
 
 def test_verify_exit_codes(tmp_path, capsys):

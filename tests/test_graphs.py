@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,25 @@ def test_build_rejects_bad_input():
     # triangle plus isolated vertex is disconnected
     with pytest.raises(GraphFormatError):
         Graph.build(4, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_too_few_edges_rejected_before_per_vertex_storage():
+    # A 10-byte file announcing two million vertices must not allocate
+    # per-vertex state: fewer than n - 1 edges cannot connect n vertices.
+    for text, fmt in (("2000000 0\n", "edge-list"),
+                      ("p edge 2000000 1\ne 1 2\n", "dimacs")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="not connected"):
+                load_graph(text, fmt=fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (fmt, peak)
+    with pytest.raises(GraphFormatError, match="2 edges cannot span 4"):
+        Graph.build(4, [(0, 1), (2, 3)])
+    # n - 1 edges are enough to pass the count, a tree then builds.
+    assert Graph.build(4, iter([(0, 1), (1, 2), (2, 3)])).m == 3
 
 
 def test_degrees_are_cached_without_touching_identity():

@@ -489,12 +489,24 @@ def test_worker_failure_propagates(monkeypatch, workers):
     assert str(outcome["error"]) == "injected bound failure"
 
 
-def test_triangle_tightening_can_be_disabled():
+def test_triangle_tightening_keeps_the_optimum(monkeypatch):
     rng = random.Random(8)
     inst = _random_instance(rng, 11)
+    solves = []
+    original = maxcut.sdp_solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(maxcut, "sdp_solve", counting)
     with_tri = solve_maxcut(inst, leaf_size=5)
-    without = solve_maxcut(inst, leaf_size=5, use_triangles=False)
-    assert with_tri.value == without.value
+    # More solves than nodes: the root was tightened by triangle solves.
+    assert len(solves) > with_tri.nodes
+    value, _ = enumerate_maxcut(inst)
+    assert with_tri.status == "optimal"
+    assert with_tri.value == value
+    assert inst.cut_weight(with_tri.mask) == value
 
 
 def test_node_trace_records_every_node():

@@ -115,20 +115,21 @@ def test_processing_order_does_not_change_answer(monkeypatch):
     monkeypatch.setattr("cheeger.split_bound.anneal_bisection", _crude_heuristic)
     g = gnp(10, 0.4, seed=3)
     forward = split_and_bound(g, seed=0)
-    backward = split_and_bound(g, seed=0, order=range(g.n // 2, 0, -1))
+    orders = []
+
+    def reversed_order(table):
+        orders.append(sorted(table.survivors(), reverse=True))
+        return orders[-1]
+
+    monkeypatch.setattr("cheeger.split_bound._exact_order", reversed_order)
+    backward = split_and_bound(g, seed=0)
+    assert len(orders) == 1 and len(orders[0]) > 1
     assert forward.upper == backward.upper
     assert backward.status == "solved"
 
 
-def test_incomplete_order_is_rejected(monkeypatch):
-    monkeypatch.setattr("cheeger.split_bound.anneal_bisection", _crude_heuristic)
-    g = gnp(10, 0.4, seed=3)
-    with pytest.raises(ValueError, match="order"):
-        split_and_bound(g, seed=0, order=[1])
-
-
 def test_eigenvalue_fallback_when_relaxation_fails(monkeypatch, caplog):
-    def broken(g, k, tol=1e-7):
+    def broken(g, k):
         raise SdpError("forced failure")
 
     monkeypatch.setattr("cheeger.split_bound.cheap_bisection_bound", broken)

@@ -1,12 +1,22 @@
-"""Tests for the QUBO and max-cut reduction chain."""
+"""Tests for the closed-form max-cut reductions.
+
+The generic route below (a penalized QUBO, then the anchor-vertex
+reduction of any QUBO to max-cut) is written independently of the
+closed-form builders in ``cheeger.transforms`` and serves as their
+oracle: both routes must produce identical weights and offsets.
+"""
 
 import itertools
 import random
+import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from cheeger.graphs import (
+    Graph,
     VertexSubset,
     brute_force_bisection,
     complete,
@@ -15,20 +25,197 @@ from cheeger.graphs import (
     gnp,
     path,
 )
+from cheeger.sdp import DIMENSION_CAP
 from cheeger.transforms import (
     MaxCutInstance,
-    QuboProblem,
     TransformError,
     bisection_to_maxcut,
-    bisection_to_qubo,
     dinkelbach_to_maxcut,
-    dinkelbach_to_qubo,
     dump_instance,
     load_instance,
     penalty_weight,
-    qubo_to_maxcut,
     slack_weights,
 )
+
+# -- generic oracle route ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuboProblem:
+    """min x^T Q x + t^T x + c over binary x; Q symmetric, diagonal allowed."""
+
+    quadratic: tuple[tuple[Fraction, ...], ...]
+    linear: tuple[Fraction, ...]
+    constant: Fraction
+
+    @classmethod
+    def build(cls, quadratic, linear, constant) -> "QuboProblem":
+        q = tuple(tuple(Fraction(v) for v in row) for row in quadratic)
+        t = tuple(Fraction(v) for v in linear)
+        d = len(t)
+        if len(q) != d or any(len(row) != d for row in q):
+            raise TransformError("quadratic matrix shape does not match linear term")
+        for i in range(d):
+            for j in range(i):
+                if q[i][j] != q[j][i]:
+                    raise TransformError("quadratic matrix must be symmetric")
+        return cls(quadratic=q, linear=t, constant=Fraction(constant))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.linear)
+
+    def evaluate(self, x) -> Fraction:
+        bits = tuple(x)
+        if len(bits) != self.dimension or any(b not in (0, 1) for b in bits):
+            raise ValueError("assignment must be a 0/1 vector of matching length")
+        total = Fraction(self.constant)
+        for i, bi in enumerate(bits):
+            if not bi:
+                continue
+            total += self.linear[i] + self.quadratic[i][i]
+            row = self.quadratic[i]
+            for j in range(i + 1, self.dimension):
+                if bits[j]:
+                    total += 2 * row[j]
+        return total
+
+
+@dataclass(frozen=True)
+class QuboReduction:
+    """Max-cut form of a QUBO: scale * q(x) = offset - cut for all x."""
+
+    instance: MaxCutInstance
+    offset: int
+    scale: int
+
+    def decode(self, mask: int) -> tuple[int, ...]:
+        anchor = mask & 1
+        return tuple(
+            1 if (mask >> (i + 1) & 1) == anchor else 0
+            for i in range(self.instance.n - 1)
+        )
+
+
+def qubo_to_maxcut(qubo: QuboProblem) -> QuboReduction:
+    """Anchor-vertex reduction of an arbitrary QUBO to max-cut.
+
+    The diagonal is folded into the linear term first (x^2 = x on binary
+    inputs).  Rational coefficients are cleared by their least common
+    denominator, which must divide 4; larger denominators indicate a
+    malformed penalty and raise TransformError.
+    """
+    d = qubo.dimension
+    folded_linear = [qubo.linear[i] + qubo.quadratic[i][i] for i in range(d)]
+    off_diag = [
+        [qubo.quadratic[i][j] if i != j else Fraction(0) for j in range(d)]
+        for i in range(d)
+    ]
+
+    denoms = [qubo.constant.denominator]
+    denoms += [v.denominator for v in folded_linear]
+    denoms += [off_diag[i][j].denominator for i in range(d) for j in range(i + 1, d)]
+    scale = lcm(*denoms) if denoms else 1
+    if 4 % scale:
+        raise TransformError(f"coefficient denominators require scale {scale}, not in {{1, 2, 4}}")
+
+    qs = [[int(scale * off_diag[i][j]) for j in range(d)] for i in range(d)]
+    ts = [int(scale * v) for v in folded_linear]
+    cs = int(scale * qubo.constant)
+
+    weights = [[0] * (d + 1) for _ in range(d + 1)]
+    for i in range(d):
+        w = sum(qs[i]) + ts[i]
+        weights[0][i + 1] = weights[i + 1][0] = w
+        for j in range(i + 1, d):
+            weights[i + 1][j + 1] = weights[j + 1][i + 1] = qs[i][j]
+    pair_sum = sum(qs[i][j] for i in range(d) for j in range(i + 1, d))
+    offset = 2 * pair_sum + sum(ts) + cs
+    return QuboReduction(
+        instance=MaxCutInstance.build(weights), offset=offset, scale=scale
+    )
+
+
+def bisection_to_qubo(g: Graph, k: int, cut_upper_bound: int) -> QuboProblem:
+    """Penalized form of the cardinality-k minimum bisection.
+
+    q(x) = x^T L x + (4u + 1)(sum x - k)^2 with u any upper bound on the
+    optimal bisection.  The penalty exceeds every feasible value, so any
+    assignment off the cardinality shell costs more than the worst
+    feasible subset and minimizers are exactly the optimal bisections.
+    """
+    if not 1 <= k <= g.n // 2:
+        raise ValueError(f"cardinality {k} out of range for n={g.n}")
+    if cut_upper_bound < 1:
+        raise ValueError("cut upper bound must be at least 1 on a connected graph")
+    n = g.n
+    penalty = 4 * cut_upper_bound + 1
+    deg = g.degrees
+    adj = g.adjacency_matrix()
+    quad = [
+        [
+            Fraction(penalty - (1 if adj[i][j] else 0)) if i != j else Fraction(deg[i] + penalty)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    linear = [Fraction(-2 * penalty * k)] * n
+    return QuboProblem.build(quad, linear, Fraction(penalty * k * k))
+
+
+def dinkelbach_to_qubo(g: Graph, gamma: Fraction) -> QuboProblem:
+    """Penalized QUBO whose minimum is min over F of gamma_d*cut - gamma_n*|S|.
+
+    Variables are the n vertex indicators followed by two binary counters
+    alpha and beta; the penalty sigma multiplies the squared residuals of
+    sum x - alpha.v = 1 and sum x + beta.v = floor(n/2).
+    """
+    gn, gd = gamma.numerator, gamma.denominator
+    n = g.n
+    s = n // 2
+    v = slack_weights(n)
+    nb = len(v)
+    d = n + 2 * nb
+    sigma = penalty_weight(g, gamma)
+
+    quad = [[Fraction(0)] * d for _ in range(d)]
+    linear = [Fraction(0)] * d
+    constant = Fraction(0)
+
+    adj = g.adjacency_matrix()
+    deg = g.degrees
+    for i in range(n):
+        quad[i][i] += gd * deg[i]
+        linear[i] += -gn
+        for j in range(i + 1, n):
+            if adj[i][j]:
+                quad[i][j] -= gd
+                quad[j][i] -= gd
+
+    def add_square(coeffs, shift):
+        # sigma * (sum coeffs[i] z_i + shift)^2
+        nonlocal constant
+        for a in range(d):
+            ca = coeffs[a]
+            if not ca:
+                continue
+            quad[a][a] += sigma * ca * ca
+            linear[a] += 2 * sigma * ca * shift
+            for bq in range(a + 1, d):
+                cb = coeffs[bq]
+                if cb:
+                    quad[a][bq] += sigma * ca * cb
+                    quad[bq][a] += sigma * ca * cb
+        constant += sigma * shift * shift
+
+    first = [1] * n + [-w for w in v] + [0] * nb
+    second = [1] * n + [0] * nb + list(v)
+    add_square(first, -1)
+    add_square(second, -s)
+    return QuboProblem.build(quad, linear, constant)
+
+
+# -- tests --------------------------------------------------------------------
 
 
 def _random_qubo(rng, d, denominators=(1,)):
@@ -235,9 +422,29 @@ def test_instance_dump_skips_zero_weights():
 def test_load_instance_reports_line_numbers():
     with pytest.raises(TransformError, match="line 3"):
         load_instance("3 2\n1 2 5\n1 2 7\n")
+    # A zero-weight first row still counts as seen, in either orientation.
+    with pytest.raises(TransformError, match="line 3: duplicate pair 1 2"):
+        load_instance("3 3\n1 2 0\n1 2 5\n2 3 1\n")
+    with pytest.raises(TransformError, match="line 3: duplicate pair 2 1"):
+        load_instance("3 2\n1 2 0\n2 1 4\n")
     with pytest.raises(TransformError, match="line 2"):
         load_instance("3 1\n1 4 2\n")
     with pytest.raises(TransformError, match="announces"):
         load_instance("3 2\n1 2 5\n")
     with pytest.raises(TransformError, match="empty"):
         load_instance("# nothing here\n")
+
+
+def test_load_instance_refuses_oversized_header_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TransformError, match="exceed"):
+            load_instance("3000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(TransformError, match=f"relaxation cap {DIMENSION_CAP}"):
+        load_instance(f"{DIMENSION_CAP + 1} 0\n")
+    inst = load_instance(f"{DIMENSION_CAP} 1\n1 {DIMENSION_CAP} 7\n")
+    assert inst.n == DIMENSION_CAP
