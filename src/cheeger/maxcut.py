@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .sdp import UnitDiagonalSdp, sdp_solve
+from .sdp import SDP_TOL, UnitDiagonalSdp, sdp_solve
 from .transforms import MaxCutInstance
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -48,7 +48,7 @@ DEFAULT_TIME_LIMIT = 3600.0
 # at least this order: an 18-vertex leaf enumerates in about 3 ms and a
 # 20-vertex one in about 10 ms, while a bounded node costs about 50 ms of
 # node SDP solves (2-vCPU Xeon).  A larger value changes node counts.
-DEFAULT_LEAF_SIZE = 18
+LEAF_SIZE = 18
 # Triangle-inequality dualization schedule.  Dualizing is only attempted
 # when the distance to the pruning threshold is within what the rounding
 # gap suggests the inequalities can recover.
@@ -274,14 +274,13 @@ class _Search:
         initial_lb,
         node_limit,
         time_limit,
-        leaf_size,
         seed,
         workers,
         trace,
     ):
         self.node_limit = node_limit
         self.time_limit = time_limit
-        self.leaf_size = max(2, leaf_size)
+        self.leaf_order = LEAF_SIZE
         self.seed = seed
         self.workers = max(1, workers)
         self.trace = trace
@@ -348,7 +347,7 @@ class _Search:
         rng = np.random.default_rng((self.seed, node.node_id))
 
         def solve(objective):
-            sol = sdp_solve(UnitDiagonalSdp(-objective), tol=1e-7, max_iterations=60)
+            sol = sdp_solve(UnitDiagonalSdp(-objective), tol=SDP_TOL, max_iterations=60)
             upper = -sol.certified_lower_bound(float(n))
             return upper, sol.x
 
@@ -424,7 +423,7 @@ class _Search:
         """Bound or enumerate a freshly created node, pushing if still open."""
         with self.lock:
             self.nodes += 1
-        if node.size <= self.leaf_size:
+        if node.size <= self.leaf_order:
             value, mask = enumerate_maxcut(node.weights)
             signs = [1 if not mask >> i & 1 else -1 for i in range(node.size)]
             self._offer(node, signs)
@@ -530,7 +529,6 @@ def solve_maxcut(
     initial_lb: int | None = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
-    leaf_size: int = DEFAULT_LEAF_SIZE,
     seed: int = 0,
     workers: int = 1,
     trace: list | None = None,
@@ -547,8 +545,6 @@ def solve_maxcut(
         is certified to be at most this value.
     node_limit, time_limit : resource caps; exceeding either yields
         status "limit" with the incumbent and the best open bound.
-    leaf_size : int
-        Subproblems at or below this order are enumerated outright.
     seed : int
         Drives hyperplane rounding; fixed seed makes runs reproducible.
     workers : int
@@ -562,7 +558,6 @@ def solve_maxcut(
         initial_lb,
         node_limit,
         time_limit,
-        leaf_size,
         seed,
         workers,
         trace,

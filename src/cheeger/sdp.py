@@ -46,6 +46,8 @@ log = logging.getLogger(__name__)
 
 # Hard cap on the (slack-extended) block dimension.
 DIMENSION_CAP = 600
+# Interior-point stopping tolerance for every bound the package computes.
+SDP_TOL = 1e-7
 
 
 class SdpError(RuntimeError):
@@ -227,12 +229,8 @@ class SdpBuilder:
         """<lhs, X> >= rhs via a -1 slack."""
         self._ineqs.append((lhs, rhs, -1.0))
 
-    @property
-    def extended_dim(self) -> int:
-        return self.base_dim + len(self._ineqs)
-
     def build(self, objective: np.ndarray) -> SdpProblem:
-        dim = self.extended_dim
+        dim = self.base_dim + len(self._ineqs)
         if dim > DIMENSION_CAP:
             raise SdpError(f"extended block dimension {dim} exceeds cap {DIMENSION_CAP}")
         c = np.zeros((dim, dim))

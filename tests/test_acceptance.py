@@ -92,7 +92,7 @@ def test_02_global_bound_tracks_second_eigenvalue():
     )
     for g in suite:
         lam2 = float(np.linalg.eigvalsh(laplacian(g))[1])
-        assert abs(global_sdp_bound(g, use_bqp_cuts=False) - lam2 / 2.0) <= SPECTRAL_TOL
+        assert abs(global_sdp_bound(g) - lam2 / 2.0) <= SPECTRAL_TOL
 
 
 def _suite_14():

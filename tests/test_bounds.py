@@ -36,8 +36,8 @@ def test_spectral_bound_known_values():
 
 
 def test_global_bound_matches_spectral_value():
-    # The unstrengthened relaxation optimum equals lambda_2/2, odd orders
-    # included; the certified value must agree to tight tolerance.
+    # The relaxation optimum equals lambda_2/2, odd orders included; the
+    # certified value must agree to tight tolerance.
     graphs = [
         complete(4),
         complete(5),
@@ -56,24 +56,6 @@ def test_global_bound_stays_below_expansion():
     for g in (complete(5), cycle(6), hypercube(3), gnp(9, 0.5, seed=0)):
         h, _ = brute_force_h(g)
         assert global_sdp_bound(g) <= float(h) + 1e-6
-
-
-def test_bqp_cuts_never_hurt_and_stay_valid():
-    for g in (complete(4), cycle(5), cycle(6), hypercube(3)):
-        h, _ = brute_force_h(g)
-        plain = global_sdp_bound(g)
-        strengthened = global_sdp_bound(g, use_bqp_cuts=True)
-        assert strengthened >= plain - 1e-6
-        assert strengthened <= float(h) + 1e-5
-
-
-def test_bqp_cuts_close_the_cycle_gaps():
-    # On odd and even cycles the spectral value is well below h; the
-    # strengthened relaxation recovers the exact expansion.
-    assert global_sdp_bound(cycle(5), use_bqp_cuts=True) == pytest.approx(1.0, abs=1e-4)
-    assert global_sdp_bound(cycle(6), use_bqp_cuts=True) == pytest.approx(
-        2.0 / 3.0, abs=1e-4
-    )
 
 
 def test_cheap_bound_sandwich_against_enumeration():

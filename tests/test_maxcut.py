@@ -4,6 +4,7 @@ import random
 import threading
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -300,25 +301,27 @@ def test_enumerate_memory_stays_bounded():
 # -- exact solves ----------------------------------------------------------
 
 
-def test_cycle_five_leaf_and_branching_paths():
+def test_cycle_five_leaf_and_branching_paths(monkeypatch):
     inst = _instance_from_graph(cycle(5))
     direct = solve_maxcut(inst)
     assert direct.value == 4
     assert direct.status == "optimal"
     assert inst.cut_weight(direct.mask) == 4
-    forced = solve_maxcut(inst, leaf_size=2)
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 2)
+    forced = solve_maxcut(inst)
     assert forced.value == 4
     assert forced.status == "optimal"
     assert inst.cut_weight(forced.mask) == 4
 
 
-def test_random_instances_match_enumeration():
+def test_random_instances_match_enumeration(monkeypatch):
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 5)
     rng = random.Random(42)
     for trial in range(15):
         n = rng.randint(6, 13)
         inst = _random_instance(rng, n)
         reference, _ = enumerate_maxcut(inst.weights)
-        res = solve_maxcut(inst, leaf_size=5, seed=trial)
+        res = solve_maxcut(inst, seed=trial)
         assert res.status == "optimal"
         assert res.value == reference
         assert inst.cut_weight(res.mask) == reference
@@ -328,10 +331,12 @@ def test_random_instances_match_enumeration():
 @settings(max_examples=30, deadline=None)
 @given(_weights(min_n=5), st.integers(0, 3))
 def test_solver_matches_enumeration(w, seed):
-    # leaf_size=4 sends every order above 4 through node SDP bounds.
+    # A leaf size of 4 sends every order above 4 through node SDP bounds.
+    # Hypothesis rejects function-scoped fixtures, so no monkeypatch here.
     inst = MaxCutInstance.build(w)
     reference, _ = enumerate_maxcut(inst.weights)
-    res = solve_maxcut(inst, leaf_size=4, seed=seed)
+    with patch.object(maxcut, "LEAF_SIZE", 4):
+        res = solve_maxcut(inst, seed=seed)
     assert res.status == "optimal"
     assert res.value == reference
     assert inst.cut_weight(res.mask) == reference
@@ -373,9 +378,10 @@ def test_injected_bound_semantics_on_enumeration_path():
     assert above.mask is None
 
 
-def test_injected_bound_prunes_at_root_on_sdp_path():
+def test_injected_bound_prunes_at_root_on_sdp_path(monkeypatch):
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 2)
     inst = _instance_from_graph(cycle(5))
-    res = solve_maxcut(inst, initial_lb=4, leaf_size=2)
+    res = solve_maxcut(inst, initial_lb=4)
     assert res.status == "bound-stop"
     assert res.nodes == 1
 
@@ -423,7 +429,8 @@ def test_time_limit_stops_triangle_loop(monkeypatch):
     monkeypatch.setattr(
         maxcut._Search, "_elapsed", lambda self: 0.0 if len(calls) < 2 else 100.0
     )
-    res = solve_maxcut(inst, leaf_size=4, time_limit=50.0)
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 4)
+    res = solve_maxcut(inst, time_limit=50.0)
     assert len(calls) == 2
     assert res.status == "limit"
     assert res.best_bound >= res.value
@@ -433,21 +440,23 @@ def test_time_limit_stops_triangle_loop(monkeypatch):
 # -- reproducibility -------------------------------------------------------
 
 
-def test_same_seed_same_search():
+def test_same_seed_same_search(monkeypatch):
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 6)
     rng = random.Random(5)
     inst = _random_instance(rng, 12)
-    first = solve_maxcut(inst, leaf_size=6, seed=9)
-    second = solve_maxcut(inst, leaf_size=6, seed=9)
+    first = solve_maxcut(inst, seed=9)
+    second = solve_maxcut(inst, seed=9)
     assert first.value == second.value
     assert first.mask == second.mask
     assert first.nodes == second.nodes
 
 
-def test_worker_pool_agrees_with_serial():
+def test_worker_pool_agrees_with_serial(monkeypatch):
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 6)
     rng = random.Random(6)
     inst = _random_instance(rng, 12)
-    serial = solve_maxcut(inst, leaf_size=6, seed=1)
-    pooled = solve_maxcut(inst, leaf_size=6, seed=1, workers=2)
+    serial = solve_maxcut(inst, seed=1)
+    pooled = solve_maxcut(inst, seed=1, workers=2)
     assert pooled.status == "optimal"
     assert pooled.value == serial.value
     assert inst.cut_weight(pooled.mask) == pooled.value
@@ -500,7 +509,8 @@ def test_triangle_tightening_keeps_the_optimum(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(maxcut, "sdp_solve", counting)
-    with_tri = solve_maxcut(inst, leaf_size=5)
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 5)
+    with_tri = solve_maxcut(inst)
     # More solves than nodes: the root was tightened by triangle solves.
     assert len(solves) > with_tri.nodes
     value, _ = enumerate_maxcut(inst)
@@ -509,11 +519,12 @@ def test_triangle_tightening_keeps_the_optimum(monkeypatch):
     assert inst.cut_weight(with_tri.mask) == value
 
 
-def test_node_trace_records_every_node():
+def test_node_trace_records_every_node(monkeypatch):
+    monkeypatch.setattr(maxcut, "LEAF_SIZE", 5)
     rng = random.Random(4)
     inst = _random_instance(rng, 11)
     rows = []
-    res = solve_maxcut(inst, leaf_size=5, trace=rows)
+    res = solve_maxcut(inst, trace=rows)
     assert len(rows) == res.nodes
     assert rows[0][0] == 0 and rows[0][1] == 0
     assert rows[0][2] >= res.value
