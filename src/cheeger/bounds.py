@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, laplacian
-from .sdp import SDP_TOL, SdpBuilder, sdp_solve
+from .sdp import SdpBuilder, sdp_solve
 
 # Rounding guard when lifting a float certificate to an integer cut value.
 CEIL_SLACK = 1e-6
@@ -49,7 +49,7 @@ def global_sdp_bound(g: Graph) -> float:
     ones = np.ones((n, n))
     bld.add_lower(ones, 1.0)
     bld.add_upper(ones, n / 2.0)
-    sol = sdp_solve(bld.build(laplacian(g)), tol=SDP_TOL)
+    sol = sdp_solve(bld.build(laplacian(g)))
     return sol.certified_lower_bound(n / 2.0)
 
 
@@ -81,5 +81,5 @@ def bisection_sdp_bound(g: Graph, k: int) -> float:
     bld.add_eq(jmat, float(k * k))
     for i in range(1, d):
         bld.add_eq([(i, i, 1.0), (0, i, -1.0)], 0.0)
-    sol = sdp_solve(bld.build(obj), tol=SDP_TOL)
+    sol = sdp_solve(bld.build(obj))
     return sol.certified_lower_bound(1.0 + k)

@@ -29,9 +29,13 @@ from .transforms import dinkelbach_to_maxcut
 
 log = logging.getLogger(__name__)
 
-# Beyond this magnitude the vectorized enumeration path always falls
-# back to exact big-integer evaluation; worth flagging.
-WIDE_WEIGHT_LIMIT = 1 << 63
+# The node relaxations hold each subproblem's Laplacian in floats, which
+# stay exact integers only below 2^53.  Contraction sums weights, so the
+# total |w| over all pairs bounds every entry and every row sum of every
+# node's Laplacian; past this limit the relaxations see rounded data.
+# (Enumeration needs no warning: it switches to Python integers by itself
+# at maxcut.ENUM_INT64_LIMIT.)
+WIDE_WEIGHT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -94,11 +98,12 @@ def evaluate_q(
     gamma = Fraction(gamma)
     started = time.monotonic()
     red = dinkelbach_to_maxcut(g, gamma)
-    widest = max(abs(w) for row in red.instance.weights for w in row)
-    if widest >= WIDE_WEIGHT_LIMIT:
+    total = sum(abs(w) for row in red.instance.weights for w in row) // 2
+    if total >= WIDE_WEIGHT_LIMIT:
         log.warning(
-            "ratio %s/%s pushes weights to %d bits; exact arithmetic only",
-            gamma.numerator, gamma.denominator, widest.bit_length(),
+            "ratio %s/%s pushes the total weight to %d bits; "
+            "node relaxations round the Laplacian",
+            gamma.numerator, gamma.denominator, total.bit_length(),
         )
     res = solve_maxcut(
         red.instance,

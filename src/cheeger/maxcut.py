@@ -8,9 +8,10 @@ descent.  Branching contracts a vertex into vertex 0, once per side, so
 every subproblem is again a plain max-cut on one fewer vertex; small
 subproblems are closed by exhaustive enumeration.
 
-Node bounds solve ``sdp.UnitDiagonalSdp``, whose operators act
-elementwise on the diagonal, so no generic constraint rows are built on
-the hot path.  Enumeration meets in the middle: one sign table per half
+Node bounds solve ``sdp.UnitDiagonalSdp`` by the dual-feasible
+interior-point method that ``sdp.sdp_solve`` keeps for it, so no generic
+constraint rows are built on the hot path, and every dual iterate is
+itself a certificate.  Enumeration meets in the middle: one sign table per half
 of the vertices, and the cuts of a block of high-half codes against all
 low-half codes at a time, so memory stays near 2^16 cuts plus two tables
 of 2^(n/2) rows even at the 24-vertex cap.
@@ -39,7 +40,7 @@ from functools import cache
 
 import numpy as np
 
-from .sdp import SDP_TOL, UnitDiagonalSdp, sdp_solve
+from .sdp import UnitDiagonalSdp, sdp_solve
 from .transforms import MaxCutInstance
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -347,7 +348,7 @@ class _Search:
         rng = np.random.default_rng((self.seed, node.node_id))
 
         def solve(objective):
-            sol = sdp_solve(UnitDiagonalSdp(-objective), tol=SDP_TOL, max_iterations=60)
+            sol = sdp_solve(UnitDiagonalSdp(-objective), max_iterations=60)
             upper = -sol.certified_lower_bound(float(n))
             return upper, sol.x
 

@@ -1,21 +1,28 @@
 """Dense semidefinite programming kernel.
 
 Solves   min <C, X>  s.t.  <A_i, X> = b_i,  X >= 0 (PSD)
-by an infeasible-start primal-dual path-following method with
-Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
-Inequality rows are handled by appending nonnegative slack variables as
-extra diagonal entries of the (single, dense) PSD block; see SdpBuilder.
+with one of two primal-dual predictor-corrector methods, both with a
+Mehrotra-style adaptive centering parameter:
+
+- ``SdpProblem`` (general rows, built by ``SdpBuilder``): an
+  infeasible-start path-following method with Nesterov-Todd scaling.
+  Inequality rows are handled by appending nonnegative slack variables
+  as extra diagonal entries of the (single, dense) PSD block.  This
+  serves the cheap and global bounds, whose few rows mix dense and
+  sparse matrices.
+- ``UnitDiagonalSdp`` (the max-cut rows diag(X) = 1): the dual-feasible
+  XZ method of Helmberg, Rendl, Vanderbei & Wolkowicz (SIAM J. Optim.
+  1996), as in Biq Mac (Rendl, Rinaldi & Wiegele, Math. Program. 2010).
+  X = I is feasible and Z = C - Diag(y) stays feasible for free, so an
+  iteration costs one Cholesky factor of Z and one of an n x n Schur
+  matrix instead of the two eigendecompositions of the NT scaling, and
+  fewer iterations are needed.  This serves every node bound of the
+  branch-and-bound engine.
 
 Everything downstream consumes *certified* bounds: for any dual vector y,
     <C, X> >= b.y + lambda_min(C - A^T y) * trace_bound
 holds for every primal-feasible X whose trace is at most trace_bound, so
 a valid bound survives loose convergence or outright solver failure.
-
-``sdp_solve`` reads a problem only through ``dim``, ``c``, ``rhs``,
-``op_a`` (X -> A(X)), ``op_at`` (y -> A^T y), ``schur(W)`` (the matrix
-<A_i, W A_j W>) and ``row_norms()``.  ``SdpProblem`` implements them for
-general rows built by ``SdpBuilder``; ``UnitDiagonalSdp`` implements the
-max-cut rows diag(X) = 1 elementwise, with bit-identical results.
 
 The kernel is dense and meant for blocks up to a few hundred rows.
 
@@ -35,6 +42,7 @@ product over the same row-major element order.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -178,28 +186,13 @@ class SdpProblem:
 class UnitDiagonalSdp:
     """min <C, X> s.t. diag(X) = 1, X PSD: the max-cut relaxation.
 
-    Every operator is elementwise, and each agrees bit for bit with the
-    same rows built as ``SdpBuilder`` constraints: A^T y skips no entry
-    but adds 0.0 so that a -0.0 multiplier leaves +0.0, and the Schur
-    complement <e_i e_i^T, W e_j e_j^T W> is the single product W_ij^2.
+    ``sdp_solve`` reads only ``c`` and ``dim``: the rows diag(X) = 1 are
+    built into its dual-feasible method, ``_unit_diagonal_iterate``.
     """
 
     def __init__(self, c: np.ndarray):
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.shape[0]
-        self.rhs = np.ones(self.dim)
-
-    def op_a(self, x: np.ndarray) -> np.ndarray:
-        return np.diagonal(x).copy()
-
-    def op_at(self, y: np.ndarray) -> np.ndarray:
-        return np.diag(y + 0.0)
-
-    def schur(self, w: np.ndarray) -> np.ndarray:
-        return _sym(w * w)
-
-    def row_norms(self) -> np.ndarray:
-        return np.ones(self.dim)
 
 
 class SdpBuilder:
@@ -375,7 +368,11 @@ def _max_step(l: np.ndarray | None, d: np.ndarray) -> float:
     if l is None:
         return 0.0
     a = _solve_lower(l, d)
-    a = _solve_lower(l, a.T)
+    return _max_identity_step(_solve_lower(l, a.T))
+
+
+def _max_identity_step(a: np.ndarray) -> float:
+    """Largest alpha keeping I + alpha A PSD."""
     lam = float(np.min(_eigh(_sym(a), vectors=False)))
     if lam >= -1e-14:
         return np.inf
@@ -383,20 +380,23 @@ def _max_step(l: np.ndarray | None, d: np.ndarray) -> float:
 
 
 def sdp_solve(
-    prob: SdpProblem | UnitDiagonalSdp, tol: float = 1e-8, max_iterations: int = 100
+    prob: SdpProblem | UnitDiagonalSdp, tol: float = SDP_TOL, max_iterations: int = 100
 ) -> SdpSolution:
     """Run the interior-point iteration; always returns a usable solution.
 
-    The status is honest: "optimal" only when the relative gap and both
-    residuals fall below tol.  Callers needing safe bounds should go
-    through SdpSolution.certified_lower_bound regardless of status.
+    A ``UnitDiagonalSdp`` gets the dual-feasible method of
+    ``_unit_diagonal_iterate``, every other problem the NT-scaled method of
+    ``_nt_iterate``.  The status is honest: "optimal" only when the
+    relative gap and the residuals fall below tol.  Callers needing safe
+    bounds should go through SdpSolution.certified_lower_bound regardless
+    of status.
     """
     n = prob.dim
-    b = prob.rhs
-    m = len(b)
+    unit = isinstance(prob, UnitDiagonalSdp)
+    b = np.ones(n) if unit else prob.rhs
     if n > DIMENSION_CAP:
         raise SdpError(f"dimension {n} exceeds cap {DIMENSION_CAP}")
-    if m == 0:
+    if len(b) == 0:
         raise SdpError("problem has no constraints")
 
     # Internal objective scaling keeps iterations well conditioned when
@@ -404,97 +404,23 @@ def sdp_solve(
     scale = max(1.0, float(np.linalg.norm(prob.c)))
     c = prob.c / scale
 
-    norm_b = 1.0 + float(np.linalg.norm(b))
-    norm_c = 1.0 + float(np.linalg.norm(c))
-    con_norms = prob.row_norms()
-    xi = n * max(1.0, max((1.0 + abs(bi)) / (1.0 + nm) for bi, nm in zip(b, con_norms)))
-    eta = max(1.0, max(con_norms, default=1.0), float(np.linalg.norm(c)))
-
-    x = xi * np.eye(n)
-    z = eta * np.eye(n)
-    y = np.zeros(m)
-
-    best = None
-    status = "max_iterations"
-    it = 0
-    rel_gap = pres = dres = np.inf
     # Problems lacking a strictly feasible point can send the dual running
     # away; overflow is silenced here, detected by the finiteness guard or
     # the except clause, and answered by falling back to the best iterate,
     # whose certificate is valid for any dual vector.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(1, max_iterations + 1):
-            rp = b - prob.op_a(x)
-            rd = c - prob.op_at(y) - z
-
-            pobj = float(np.vdot(c, x))
-            dobj = float(b @ y)
-            gap = float(np.vdot(x, z))
-            rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-            pres = float(np.linalg.norm(rp)) / norm_b
-            dres = float(np.linalg.norm(rd)) / norm_c
-
-            worst = max(rel_gap, pres, dres)
-            if not np.isfinite(pobj) or not np.isfinite(gap) or not np.isfinite(worst):
-                status = "numerical_failure"
-                break
-
-            if best is None or worst < best[0]:
-                best = (worst, x.copy(), y.copy(), z.copy(), rel_gap, pres, dres)
-
-            if worst <= tol:
-                status = "optimal"
-                break
-
-            mu = gap / n
-            try:
-                w, z_inv = _nt_scaling(x, z)
-                fact = _robust_cho_factor(prob.schur(w))
-                a_wrdw = prob.op_a(w @ rd @ w)
-
-                def direction(rc):
-                    dy = _cho_solve(fact, rp - prob.op_a(rc) + a_wrdw)
-                    aty = prob.op_at(dy)
-                    dz = _sym(rd - aty)
-                    dx = _sym(rc + w @ (aty - rd) @ w)
-                    return dy, dx, dz
-
-                dy_a, dx_a, dz_a = direction(-x)
-                # X and Z stay fixed through both step-length searches.
-                lx = _step_factor(x)
-                lz = _step_factor(z)
-                ap = min(1.0, _max_step(lx, dx_a))
-                ad = min(1.0, _max_step(lz, dz_a))
-                mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a)) / n
-                sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
-
-                dy, dx, dz = direction(sigma * mu * z_inv - x)
-                tau = 0.95 if it <= 3 else 0.98
-                ap = min(1.0, tau * _max_step(lx, dx))
-                ad = min(1.0, tau * _max_step(lz, dz))
-                if ap <= 1e-10 and ad <= 1e-10:
-                    status = "numerical_failure"
-                    break
-                x = _sym(x + ap * dx)
-                y = y + ad * dy
-                z = _sym(z + ad * dz)
-            except (LinAlgError, SdpError, ValueError):
-                status = "numerical_failure"
-                break
-
-    if best is None:
-        raise SdpError("iteration produced no usable point")
-
-    if status == "optimal":
-        rel_out, pres_out, dres_out = rel_gap, pres, dres
-    else:
-        _, x, y, z, rel_out, pres_out, dres_out = best
+        if unit:
+            status, it, result = _unit_diagonal_iterate(c, tol, max_iterations)
+        else:
+            status, it, result = _nt_iterate(prob, c, b, tol, max_iterations)
+    x, y, z, rel_out, pres_out, dres_out = result
+    if status != "optimal":
         log.info("sdp_solve: %s after %d iterations (relgap %.2e)", status, it, rel_out)
 
     # Undo the objective scaling: y pairs with C = scale * c, so the dual
     # certificate for the original data is scale * y.
     y_orig = scale * y
-    slack = prob.c - prob.op_at(y_orig)
+    slack = prob.c - (np.diag(y_orig) if unit else prob.op_at(y_orig))
     min_eig = float(np.min(_eigh(_sym(slack), vectors=False)))
 
     return SdpSolution(
@@ -511,6 +437,188 @@ def sdp_solve(
         iterations=it,
         dual_slack_min_eig=min_eig,
     )
+
+
+def _nt_iterate(prob: SdpProblem, c, b, tol, max_iterations):
+    """Infeasible-start predictor-corrector with Nesterov-Todd scaling.
+
+    Returns (status, iterations, (x, y, z, rel_gap, pres, dres)) with the
+    last iterate when optimal, else the best one seen.
+    """
+    n = prob.dim
+    m = len(b)
+    norm_b = 1.0 + float(np.linalg.norm(b))
+    norm_c = 1.0 + float(np.linalg.norm(c))
+    con_norms = prob.row_norms()
+    xi = n * max(1.0, max((1.0 + abs(bi)) / (1.0 + nm) for bi, nm in zip(b, con_norms)))
+    eta = max(1.0, max(con_norms, default=1.0), float(np.linalg.norm(c)))
+
+    x = xi * np.eye(n)
+    z = eta * np.eye(n)
+    y = np.zeros(m)
+
+    best = None
+    status = "max_iterations"
+    it = 0
+    rel_gap = pres = dres = np.inf
+    for it in range(1, max_iterations + 1):
+        rp = b - prob.op_a(x)
+        rd = c - prob.op_at(y) - z
+
+        pobj = float(np.vdot(c, x))
+        dobj = float(b @ y)
+        gap = float(np.vdot(x, z))
+        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        pres = float(np.linalg.norm(rp)) / norm_b
+        dres = float(np.linalg.norm(rd)) / norm_c
+
+        worst = max(rel_gap, pres, dres)
+        if not np.isfinite(pobj) or not np.isfinite(gap) or not np.isfinite(worst):
+            status = "numerical_failure"
+            break
+
+        if best is None or worst < best[0]:
+            best = (worst, x.copy(), y.copy(), z.copy(), rel_gap, pres, dres)
+
+        if worst <= tol:
+            status = "optimal"
+            break
+
+        mu = gap / n
+        try:
+            w, z_inv = _nt_scaling(x, z)
+            fact = _robust_cho_factor(prob.schur(w))
+            a_wrdw = prob.op_a(w @ rd @ w)
+
+            def direction(rc):
+                dy = _cho_solve(fact, rp - prob.op_a(rc) + a_wrdw)
+                aty = prob.op_at(dy)
+                dz = _sym(rd - aty)
+                dx = _sym(rc + w @ (aty - rd) @ w)
+                return dy, dx, dz
+
+            dy_a, dx_a, dz_a = direction(-x)
+            # X and Z stay fixed through both step-length searches.
+            lx = _step_factor(x)
+            lz = _step_factor(z)
+            ap = min(1.0, _max_step(lx, dx_a))
+            ad = min(1.0, _max_step(lz, dz_a))
+            mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a)) / n
+            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
+
+            dy, dx, dz = direction(sigma * mu * z_inv - x)
+            tau = 0.95 if it <= 3 else 0.98
+            ap = min(1.0, tau * _max_step(lx, dx))
+            ad = min(1.0, tau * _max_step(lz, dz))
+            if ap <= 1e-10 and ad <= 1e-10:
+                status = "numerical_failure"
+                break
+            x = _sym(x + ap * dx)
+            y = y + ad * dy
+            z = _sym(z + ad * dz)
+        except (LinAlgError, SdpError, ValueError):
+            status = "numerical_failure"
+            break
+
+    if best is None:
+        raise SdpError("iteration produced no usable point")
+    if status == "optimal":
+        return status, it, (x, y, z, rel_gap, pres, dres)
+    return status, it, best[1:]
+
+
+def _unit_diagonal_iterate(c, tol, max_iterations):
+    """Dual-feasible predictor-corrector for min <c, X>, diag(X) = e.
+
+    The XZ (HKM) direction of Helmberg, Rendl, Vanderbei & Wolkowicz
+    (SIAM J. Optim. 1996), with a Mehrotra corrector.  X = I is
+    primal-feasible and a Gershgorin y makes Z = c - Diag(y) diagonally
+    dominant, so Z stays c - Diag(y) exactly and only the gap and the
+    primal residual have to close.  With dZ = -Diag(dy), Newton's step
+    on Z X = sigma mu I reduces to the n x n Schur system
+    (Z^-1 o X) dy = e - sigma mu diag(Z^-1) - diag(K), and then
+    dX = sym(sigma mu Z^-1 - X + Z^-1 Diag(dy) X + K), where
+    K = Z^-1 Diag(dy_a) dX_a is the corrector's second-order term (0 in
+    the predictor).  Z^-1 o X is positive definite whenever X and Z are.
+
+    Returns what ``_nt_iterate`` returns.
+    """
+    n = c.shape[0]
+    e = np.ones(n)
+    norm_b = 1.0 + math.sqrt(n)
+    # Each row of Z exceeds its off-diagonal absolute sum r by r/10 + 1/n,
+    # so lambda_min(Z) >= 1/n by Gershgorin (the iteration count barely
+    # depends on these margins).
+    diag_c = np.diagonal(c)
+    off = np.abs(c).sum(axis=1) - np.abs(diag_c)
+    y = diag_c - off - (0.1 * off + 1.0 / n)
+    x = np.eye(n)
+    z = c - np.diag(y)
+
+    best = None
+    status = "max_iterations"
+    it = 0
+    rel_gap = pres = np.inf
+    for it in range(1, max_iterations + 1):
+        pobj = float(np.vdot(c, x))
+        dobj = float(np.sum(y))
+        gap = float(np.vdot(x, z))
+        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        pres = float(np.linalg.norm(e - np.diagonal(x))) / norm_b
+
+        worst = max(rel_gap, pres)
+        if not np.isfinite(pobj) or not np.isfinite(gap) or not np.isfinite(worst):
+            status = "numerical_failure"
+            break
+
+        if best is None or worst < best[0]:
+            best = (worst, x.copy(), y.copy(), z.copy(), rel_gap, pres, 0.0)
+
+        if worst <= tol:
+            status = "optimal"
+            break
+
+        mu = gap / n
+        try:
+            # Z = L L^T; with Li = L^-1, Z^-1 = Li^T Li, and Z + a Diag(d)
+            # is PSD exactly when I + a Li Diag(d) Li^T is.
+            li = _solve_lower(_cholesky(z), np.eye(n))
+            z_inv = _sym(li.T @ li)
+            fact = _robust_cho_factor(z_inv * x)
+            diag_z_inv = np.diagonal(z_inv)
+
+            dy_a = _cho_solve(fact, e)
+            dx_a = _sym((z_inv * dy_a) @ x - x)
+            # X and Z stay fixed through both step-length searches.
+            lx = _step_factor(x)
+            ap = min(1.0, _max_step(lx, dx_a))
+            ad = min(1.0, _max_identity_step((li * -dy_a) @ li.T))
+            mu_aff = float(np.vdot(x + ap * dx_a, z - ad * np.diag(dy_a))) / n
+            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
+
+            k_diag = ((z_inv * dy_a) * dx_a).sum(axis=1)
+            dy = _cho_solve(fact, e - sigma * mu * diag_z_inv - k_diag)
+            dx = _sym(
+                sigma * mu * z_inv - x + z_inv @ (dy[:, None] * x + dy_a[:, None] * dx_a)
+            )
+            tau = 0.95 if it <= 3 else 0.98
+            ap = min(1.0, tau * _max_step(lx, dx))
+            ad = min(1.0, tau * _max_identity_step((li * -dy) @ li.T))
+            if ap <= 1e-10 and ad <= 1e-10:
+                status = "numerical_failure"
+                break
+            x = _sym(x + ap * dx)
+            y = y + ad * dy
+            z = c - np.diag(y)
+        except (LinAlgError, SdpError, ValueError):
+            status = "numerical_failure"
+            break
+
+    if best is None:
+        raise SdpError("iteration produced no usable point")
+    if status == "optimal":
+        return status, it, (x, y, z, rel_gap, pres, 0.0)
+    return status, it, best[1:]
 
 
 def _robust_cho_factor(mat: np.ndarray):

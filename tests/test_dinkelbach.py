@@ -107,3 +107,22 @@ def test_wide_weights_are_flagged(caplog):
     assert "bits" in caplog.text
     assert ev.value == 1 - (1 << 64)
     assert ev.witness.size == 1
+
+
+def test_float_limit_is_flagged_for_tiny_ratios(caplog):
+    # At gamma = 1/2^50 no weight reaches 2^53, but their total does, so
+    # a node Laplacian's row sums would no longer be exact floats.
+    gamma = Fraction(1, 1 << 50)
+    with caplog.at_level("WARNING", logger="cheeger.dinkelbach"):
+        ev = evaluate_q(path(3), gamma)
+    assert "bits" in caplog.text
+    assert ev.value == (1 << 50) - 1
+    assert ev.witness.size == 1
+
+
+def test_weights_below_the_float_limit_are_not_flagged(caplog):
+    gamma = Fraction(1, 1 << 40)
+    with caplog.at_level("WARNING", logger="cheeger.dinkelbach"):
+        ev = evaluate_q(path(3), gamma)
+    assert caplog.text == ""
+    assert ev.value == (1 << 40) - 1

@@ -1,8 +1,11 @@
 """Both exact methods against brute-force enumeration on random graphs."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cheeger import maxcut
 from cheeger.dinkelbach import dinkelbach_solve
 from cheeger.graphs import Graph, VertexSubset, brute_force_h, expansion
 from cheeger.split_bound import split_and_bound
@@ -39,3 +42,23 @@ def test_split_and_bound_matches_brute_force(g, seed):
 @given(_connected_graphs(), st.integers(0, 3))
 def test_dinkelbach_matches_brute_force(g, seed):
     _assert_exact(g, dinkelbach_solve(g, seed=seed))
+
+
+# At n <= 10 every max-cut subproblem fits the default leaf and is closed
+# by enumeration; 4-vertex leaves send both methods through node SDP
+# bounds, rounding and branching.  hypothesis rejects function-scoped
+# fixtures, hence patch.object instead of monkeypatch.
+
+
+@settings(max_examples=25, deadline=None)
+@given(_connected_graphs(), st.integers(0, 3))
+def test_split_and_bound_matches_brute_force_with_small_leaves(g, seed):
+    with patch.object(maxcut, "LEAF_SIZE", 4):
+        _assert_exact(g, split_and_bound(g, seed=seed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_connected_graphs(), st.integers(0, 3))
+def test_dinkelbach_matches_brute_force_with_small_leaves(g, seed):
+    with patch.object(maxcut, "LEAF_SIZE", 4):
+        _assert_exact(g, dinkelbach_solve(g, seed=seed))

@@ -5,10 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheeger import bounds
 from cheeger.graphs import brute_force_bisection, complete, cycle, gnp, laplacian
-from cheeger.maxcut import _signed_laplacian
+from cheeger.maxcut import _signed_laplacian, enumerate_maxcut
 from cheeger.sdp import (
     Constraint,
     SdpBuilder,
@@ -125,25 +127,74 @@ def _node_objective(rng, n, triangles):
     return obj
 
 
+# Agreement between the unit-diagonal method and the generic rows, fixed
+# before the method was written: both converge to the same relaxation
+# value to about SDP_TOL relative.
+UNIT_AGREEMENT_TOL = 1e-6
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_unit_diagonal_operator_is_bit_identical(seed):
-    # The elementwise operator must reproduce the generic diagonal rows
-    # exactly: every iterate, hence every certified node bound.
+def test_unit_diagonal_bound_agrees_with_generic_rows(seed):
+    # The dual-feasible method for diag(X) = 1 and the generic method on
+    # the same rows certify the same node bound, and a solve cut short
+    # after 3 iterations still certifies a valid one.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 26))
     obj = _node_objective(rng, n, triangles=0 if seed % 2 else 3 * n)
     bld = SdpBuilder(n)
     for i in range(n):
         bld.add_eq([(i, i, 1.0)], 1.0)
-    for iters in (3, 60):
-        generic = sdp_solve(bld.build(-obj), tol=1e-7, max_iterations=iters)
-        unit = sdp_solve(UnitDiagonalSdp(-obj), tol=1e-7, max_iterations=iters)
-        for field in ("x", "y", "z"):
-            assert np.array_equal(getattr(generic, field), getattr(unit, field))
-        for field in ("dual_obj", "dual_slack_min_eig", "iterations", "status"):
-            assert getattr(generic, field) == getattr(unit, field)
-        if iters == 3:
-            assert unit.status == "max_iterations"
+    generic = sdp_solve(bld.build(-obj), max_iterations=60)
+    unit = sdp_solve(UnitDiagonalSdp(-obj), max_iterations=60)
+    assert generic.status == unit.status == "optimal"
+    bound = generic.certified_lower_bound(n)
+    assert abs(unit.certified_lower_bound(n) - bound) <= UNIT_AGREEMENT_TOL * (1.0 + abs(bound))
+
+    short = sdp_solve(UnitDiagonalSdp(-obj), max_iterations=3)
+    assert short.status == "max_iterations"
+    assert short.iterations == 3
+    slack_eig = np.linalg.eigvalsh(-obj - np.diag(short.y))[0]
+    assert short.dual_slack_min_eig == pytest.approx(slack_eig, abs=1e-9 * (1.0 + abs(bound)))
+    assert short.dual_obj == pytest.approx(short.y.sum(), rel=1e-12)
+    assert short.certified_lower_bound(n) <= generic.primal_obj + UNIT_AGREEMENT_TOL * (
+        1.0 + abs(bound)
+    )
+
+
+@st.composite
+def _maxcut_weights(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    pairs = n * (n - 1) // 2
+    vals = draw(st.lists(st.integers(-20, 20), min_size=pairs, max_size=pairs))
+    shift = draw(st.sampled_from((0, 20, 40)))
+    w = [[0] * n for _ in range(n)]
+    it = iter(vals)
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = next(it) << shift
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(_maxcut_weights())
+def test_unit_diagonal_bound_stays_above_the_maximum_cut(w):
+    # The node bound, at every weight scale the penalized encodings
+    # reach, never cuts off the true maximum cut.
+    n = len(w)
+    sol = sdp_solve(UnitDiagonalSdp(-_signed_laplacian(w) / 4.0), max_iterations=60)
+    assert -sol.certified_lower_bound(float(n)) >= enumerate_maxcut(w)[0]
+
+
+def test_nan_objective_raises():
+    # No iterate is usable, so there is no certificate to fall back on.
+    obj = np.eye(4)
+    obj[1, 2] = obj[2, 1] = np.nan
+    bld = SdpBuilder(4)
+    for i in range(4):
+        bld.add_eq([(i, i, 1.0)], 1.0)
+    for prob in (UnitDiagonalSdp(obj), bld.build(obj)):
+        with pytest.raises(SdpError, match="no usable point"):
+            sdp_solve(prob)
 
 
 def test_slack_rows_enforce_inequalities():
@@ -331,14 +382,19 @@ def _solution_digest(solutions) -> str:
     return h.hexdigest()
 
 
-def _pinned_solutions(monkeypatch):
+def _pinned_unit_solutions():
     out = []
     rng = np.random.default_rng(2024)
     for case in range(10):
         n = int(rng.integers(5, 34))
         obj = _node_objective(rng, n, triangles=0 if case % 2 else 3 * n)
         for iters in (4, 60):
-            out.append(sdp_solve(UnitDiagonalSdp(-obj), tol=1e-7, max_iterations=iters))
+            out.append(sdp_solve(UnitDiagonalSdp(-obj), max_iterations=iters))
+    return out
+
+
+def _pinned_generic_solutions(monkeypatch):
+    out = []
     for seed in range(3):
         g = gnp(9, 0.5, seed=seed)
         out.append(sdp_solve(_global_expansion_problem(g), tol=1e-8))
@@ -356,18 +412,24 @@ def _pinned_solutions(monkeypatch):
     return out
 
 
-PINNED_SOLVES = 32
-PINNED_DIGEST = "189afaa677ce69d84fb9d8dc4f91665e4d72e5fc503d6d9c123a4bbb93f7961e"
+PINNED_GENERIC_SOLVES = 12
+PINNED_GENERIC_DIGEST = "eb1de6beadf70b44bb47a5a0d2bc0cc95650746906032d9bc42221b78eee1891"
+PINNED_UNIT_SOLVES = 20
+PINNED_UNIT_DIGEST = "a74755acb3300776da85833d2ca4d48af8b7739a4ed87b652563d510ae362ead"
 RUNAWAY_BOUND = 4.415311455090652
 
 
 def test_solver_outputs_are_pinned(monkeypatch):
-    # Every solve but the three global bounds was first recorded before
-    # the kernels called LAPACK directly: the direct calls must reproduce
-    # every iterate of the scipy-wrapped ones.
-    solutions = _pinned_solutions(monkeypatch)
-    assert len(solutions) == PINNED_SOLVES
-    assert _solution_digest(solutions) == PINNED_DIGEST
+    # The NT-scaled solves were recorded before the kernels called LAPACK
+    # directly and before unit-diagonal problems got their own method:
+    # every iterate of that path is held bit for bit.  The unit-diagonal
+    # solves were recorded when their dual-feasible method was written.
+    generic = _pinned_generic_solutions(monkeypatch)
+    assert len(generic) == PINNED_GENERIC_SOLVES
+    assert _solution_digest(generic) == PINNED_GENERIC_DIGEST
+    unit = _pinned_unit_solutions()
+    assert len(unit) == PINNED_UNIT_SOLVES
+    assert _solution_digest(unit) == PINNED_UNIT_DIGEST
 
 
 def _runaway_problem():
