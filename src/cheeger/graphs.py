@@ -133,10 +133,6 @@ class Graph:
         # dataclass fields, so equality and hashing are unaffected.
         return tuple(mask.bit_count() for mask in self.adj_masks)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.adj_masks[v]
-        return tuple(i for i in range(self.n) if mask >> i & 1)
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return False

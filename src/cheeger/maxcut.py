@@ -8,11 +8,11 @@ descent.  Branching contracts a vertex into vertex 0, once per side, so
 every subproblem is again a plain max-cut on one fewer vertex; small
 subproblems are closed by exhaustive enumeration.
 
-Node bounds solve ``sdp.UnitDiagonalSdp`` by the dual-feasible
-interior-point method that ``sdp.sdp_solve`` keeps for it, so no generic
-constraint rows are built on the hot path, and every dual iterate is
-itself a certificate.  Enumeration meets in the middle: one sign table per half
-of the vertices, and the cuts of a block of high-half codes against all
+Node bounds solve ``sdp.UnitDiagonalSdp``, whose rows diag(X) = 1 act
+elementwise, so no generic constraint rows are built on the hot path; its
+start is dual feasible, and every dual iterate is a certificate.
+Enumeration meets in the middle: one sign table per half of the
+vertices, and the cuts of a block of high-half codes against all
 low-half codes at a time, so memory stays near 2^16 cuts plus two tables
 of 2^(n/2) rows even at the 24-vertex cap.
 

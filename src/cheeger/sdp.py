@@ -1,23 +1,30 @@
 """Dense semidefinite programming kernel.
 
 Solves   min <C, X>  s.t.  <A_i, X> = b_i,  X >= 0 (PSD)
-with one of two primal-dual predictor-corrector methods, both with a
-Mehrotra-style adaptive centering parameter:
+with one primal-dual predictor-corrector: the XZ (HKM) direction of
+Helmberg, Rendl, Vanderbei & Wolkowicz (SIAM J. Optim. 1996) with a
+Mehrotra-style corrector and adaptive centering parameter.  Newton's
+step on A(X) = b, A^T y + Z = C, Z X = sigma mu I is
+    M dy = rp - A(R) + A(Z^-1 rd X),   M_ij = <A_i, Z^-1 A_j X>,
+    dZ = rd - A^T dy,   dX = sym(R - Z^-1 dZ X),
+with R = sigma mu Z^-1 - X - Z^-1 dZ_a dX_a (R = -X in the predictor).
+M is symmetric, and positive definite whenever X and Z are.
 
-- ``SdpProblem`` (general rows, built by ``SdpBuilder``): an
-  infeasible-start path-following method with Nesterov-Todd scaling.
-  Inequality rows are handled by appending nonnegative slack variables
-  as extra diagonal entries of the (single, dense) PSD block.  This
-  serves the cheap and global bounds, whose few rows mix dense and
-  sparse matrices.
-- ``UnitDiagonalSdp`` (the max-cut rows diag(X) = 1): the dual-feasible
-  XZ method of Helmberg, Rendl, Vanderbei & Wolkowicz (SIAM J. Optim.
-  1996), as in Biq Mac (Rendl, Rinaldi & Wiegele, Math. Program. 2010).
-  X = I is feasible and Z = C - Diag(y) stays feasible for free, so an
-  iteration costs one Cholesky factor of Z and one of an n x n Schur
-  matrix instead of the two eigendecompositions of the NT scaling, and
-  fewer iterations are needed.  This serves every node bound of the
-  branch-and-bound engine.
+The iteration reads a problem only through five members:
+``rhs`` (b), ``op_a`` (X -> A(X)), ``op_at`` (y -> A^T y),
+``schur(z_inv, x)`` (the matrix M) and ``start(c)`` (the first
+(X, y, Z) for the scaled objective c).  Two problem types supply them:
+
+- ``SdpProblem`` (general rows, built by ``SdpBuilder``) starts
+  infeasible at (xi I, 0, eta I).  Inequality rows are handled by
+  appending nonnegative slack variables as extra diagonal entries of the
+  (single, dense) PSD block.  This serves the cheap and global bounds,
+  whose few rows mix dense and sparse matrices.
+- ``UnitDiagonalSdp`` (the max-cut rows diag(X) = 1, applied
+  elementwise, so M = Z^-1 o X) starts feasible: X = I, and a Gershgorin
+  y makes Z = C - Diag(y) positive definite, as in Biq Mac (Rendl,
+  Rinaldi & Wiegele, Math. Program. 2010).  This serves every node bound
+  of the branch-and-bound engine.
 
 Everything downstream consumes *certified* bounds: for any dual vector y,
     <C, X> >= b.y + lambda_min(C - A^T y) * trace_bound
@@ -26,23 +33,19 @@ a valid bound survives loose convergence or outright solver failure.
 
 The kernel is dense and meant for blocks up to a few hundred rows.
 
-Node problems have a few dozen rows, where scipy's wrappers (input checks, a
-workspace query per ``eigh``, batching dispatch) cost more than the
-LAPACK work itself.  The kernels therefore call the routines those
+Node problems have a few dozen rows, where scipy's wrappers (input
+checks, a workspace query per ``eigh``, batching dispatch) cost more than
+the LAPACK work itself.  The kernels therefore call the routines those
 wrappers call -- ``dsyevr``, ``dpotrf``, ``dpotrs`` and ``dtrtrs`` --
-directly, with the same arguments and the same ``dsyevr`` workspace
-sizes (queried once per dimension), so every iterate is bit-identical
-to the wrapped calls.  The wrappers' failures are kept too: non-finite
-input raises ``ValueError`` and a nonzero LAPACK ``info`` raises
-``LinAlgError``, which the iteration answers as before.  ``np.vdot``
-replaces ``np.tensordot`` for <A, B>; both reduce to the same BLAS dot
-product over the same row-major element order.
+directly, with the same arguments and workspace sizes, so results are
+bit-identical to the wrapped calls.  The wrappers' failures are kept too:
+non-finite input raises ``ValueError`` and a nonzero LAPACK ``info``
+raises ``LinAlgError``, which the iteration answers as numerical failure.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -113,11 +116,11 @@ class Constraint:
         else:
             np.add.at(out, (self.rows, self.cols), scale * self.vals)
 
-    def congruence(self, w: np.ndarray) -> np.ndarray:
-        """W A W, the building block of the NT-scaled Schur complement."""
+    def product(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left A right, the building block of the Schur complement."""
         if self.dense is not None:
-            return w @ self.dense @ w
-        return (w[:, self.rows] * self.vals) @ w[self.cols, :]
+            return left @ self.dense @ right
+        return (left[:, self.rows] * self.vals) @ right[self.cols, :]
 
     def norm(self) -> float:
         if self.dense is not None:
@@ -145,8 +148,14 @@ class SdpProblem:
     def rhs(self) -> np.ndarray:
         return np.array([con.rhs for con in self.constraints])
 
-    def row_norms(self) -> np.ndarray:
-        return np.array([con.norm() for con in self.constraints])
+    def start(self, c: np.ndarray):
+        """Infeasible start (xi I, 0, eta I), sized to b, the rows and c."""
+        n = self.dim
+        norms = [con.norm() for con in self.constraints]
+        ratios = [(1.0 + abs(con.rhs)) / (1.0 + nm) for con, nm in zip(self.constraints, norms)]
+        xi = n * max(1.0, max(ratios))
+        eta = max(1.0, max(norms), float(np.linalg.norm(c)))
+        return xi * np.eye(n), np.zeros(len(norms)), eta * np.eye(n)
 
     @cached_property
     def _gather(self):
@@ -165,34 +174,56 @@ class SdpProblem:
             vals[slot, :nnz] = con.vals
         return sparse_idx, dense_idx, rows, cols, vals
 
-    def schur(self, w: np.ndarray) -> np.ndarray:
-        """The NT-scaled Schur complement M_ij = <A_i, W A_j W>.
+    def schur(self, z_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The Schur complement M_ij = <A_i, Z^-1 A_j X> of the XZ direction.
 
-        Each column costs one congruence plus one fancy gather over all
+        Each column costs one product plus one fancy gather over all
         sparse rows instead of a Python-level loop of inner products.
         """
         sparse_idx, dense_idx, rows, cols, vals = self._gather
         m = len(self.constraints)
         mat = np.empty((m, m))
         for j, con in enumerate(self.constraints):
-            waw = con.congruence(w)
+            prod = con.product(z_inv, x)
             if sparse_idx:
-                mat[sparse_idx, j] = np.einsum("ik,ik->i", vals, waw[rows, cols])
+                mat[sparse_idx, j] = np.einsum("ik,ik->i", vals, prod[rows, cols])
             for k in dense_idx:
-                mat[k, j] = self.constraints[k].inner(waw)
+                mat[k, j] = self.constraints[k].inner(prod)
         return _sym(mat)
 
 
 class UnitDiagonalSdp:
     """min <C, X> s.t. diag(X) = 1, X PSD: the max-cut relaxation.
 
-    ``sdp_solve`` reads only ``c`` and ``dim``: the rows diag(X) = 1 are
-    built into its dual-feasible method, ``_unit_diagonal_iterate``.
+    The rows diag(X) = 1 act elementwise, so no constraint rows are built.
     """
 
     def __init__(self, c: np.ndarray):
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.shape[0]
+        self.rhs = np.ones(self.dim)
+
+    def op_a(self, x: np.ndarray) -> np.ndarray:
+        return np.diagonal(x).copy()
+
+    def op_at(self, y: np.ndarray) -> np.ndarray:
+        return np.diag(y)
+
+    def schur(self, z_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return z_inv * x
+
+    def start(self, c: np.ndarray):
+        """Feasible start: X = I, and a Gershgorin y with Z = c - Diag(y).
+
+        Each row of Z exceeds its off-diagonal absolute sum r by r/10 + 1/n,
+        so lambda_min(Z) >= 1/n (the iteration count barely depends on
+        these margins).
+        """
+        n = self.dim
+        diag_c = np.diagonal(c)
+        off = np.abs(c).sum(axis=1) - np.abs(diag_c)
+        y = diag_c - off - (0.1 * off + 1.0 / n)
+        return np.eye(n), y, c - np.diag(y)
 
 
 class SdpBuilder:
@@ -335,22 +366,6 @@ def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray):
-    """Return (W, Z^-1) where W is the scaling point with W Z W = X."""
-    dz, uz = _eigh(z)
-    dz = np.maximum(dz, 1e-300)
-    sq = np.sqrt(dz)
-    z_half = (uz * sq) @ uz.T
-    z_ihalf = (uz / sq) @ uz.T
-    z_inv = (uz / dz) @ uz.T
-    t = _sym(z_half @ x @ z_half)
-    dt, ut = _eigh(t)
-    dt = np.maximum(dt, 1e-300)
-    t_half = (ut * np.sqrt(dt)) @ ut.T
-    w = _sym(z_ihalf @ t_half @ z_ihalf)
-    return w, _sym(z_inv)
-
-
 def _step_factor(s: np.ndarray) -> np.ndarray | None:
     """Cholesky factor of S plus a small jitter; None if S is too indefinite."""
     n = s.shape[0]
@@ -384,16 +399,12 @@ def sdp_solve(
 ) -> SdpSolution:
     """Run the interior-point iteration; always returns a usable solution.
 
-    A ``UnitDiagonalSdp`` gets the dual-feasible method of
-    ``_unit_diagonal_iterate``, every other problem the NT-scaled method of
-    ``_nt_iterate``.  The status is honest: "optimal" only when the
-    relative gap and the residuals fall below tol.  Callers needing safe
-    bounds should go through SdpSolution.certified_lower_bound regardless
-    of status.
+    The status is honest: "optimal" only when the relative gap and the
+    residuals fall below tol.  Callers needing safe bounds should go
+    through SdpSolution.certified_lower_bound regardless of status.
     """
     n = prob.dim
-    unit = isinstance(prob, UnitDiagonalSdp)
-    b = np.ones(n) if unit else prob.rhs
+    b = prob.rhs
     if n > DIMENSION_CAP:
         raise SdpError(f"dimension {n} exceeds cap {DIMENSION_CAP}")
     if len(b) == 0:
@@ -401,7 +412,10 @@ def sdp_solve(
 
     # Internal objective scaling keeps iterations well conditioned when
     # weights span many orders of magnitude; results are reported unscaled.
-    scale = max(1.0, float(np.linalg.norm(prob.c)))
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(prob.c)))
+    if not np.isfinite(scale):
+        raise SdpError("objective norm overflows: entries too large to scale")
     c = prob.c / scale
 
     # Problems lacking a strictly feasible point can send the dual running
@@ -409,18 +423,16 @@ def sdp_solve(
     # the except clause, and answered by falling back to the best iterate,
     # whose certificate is valid for any dual vector.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if unit:
-            status, it, result = _unit_diagonal_iterate(c, tol, max_iterations)
-        else:
-            status, it, result = _nt_iterate(prob, c, b, tol, max_iterations)
-    x, y, z, rel_out, pres_out, dres_out = result
+        status, it, (x, y, z, rel_out, pres_out, dres_out) = _iterate(
+            prob, c, b, tol, max_iterations
+        )
     if status != "optimal":
         log.info("sdp_solve: %s after %d iterations (relgap %.2e)", status, it, rel_out)
 
     # Undo the objective scaling: y pairs with C = scale * c, so the dual
     # certificate for the original data is scale * y.
     y_orig = scale * y
-    slack = prob.c - (np.diag(y_orig) if unit else prob.op_at(y_orig))
+    slack = prob.c - prob.op_at(y_orig)
     min_eig = float(np.min(_eigh(_sym(slack), vectors=False)))
 
     return SdpSolution(
@@ -439,23 +451,17 @@ def sdp_solve(
     )
 
 
-def _nt_iterate(prob: SdpProblem, c, b, tol, max_iterations):
-    """Infeasible-start predictor-corrector with Nesterov-Todd scaling.
+def _iterate(prob: SdpProblem | UnitDiagonalSdp, c, b, tol, max_iterations):
+    """XZ predictor-corrector from ``prob.start(c)``.
 
     Returns (status, iterations, (x, y, z, rel_gap, pres, dres)) with the
     last iterate when optimal, else the best one seen.
     """
     n = prob.dim
-    m = len(b)
     norm_b = 1.0 + float(np.linalg.norm(b))
     norm_c = 1.0 + float(np.linalg.norm(c))
-    con_norms = prob.row_norms()
-    xi = n * max(1.0, max((1.0 + abs(bi)) / (1.0 + nm) for bi, nm in zip(b, con_norms)))
-    eta = max(1.0, max(con_norms, default=1.0), float(np.linalg.norm(c)))
-
-    x = xi * np.eye(n)
-    z = eta * np.eye(n)
-    y = np.zeros(m)
+    eye = np.eye(n)
+    x, y, z = prob.start(c)
 
     best = None
     status = "max_iterations"
@@ -486,36 +492,39 @@ def _nt_iterate(prob: SdpProblem, c, b, tol, max_iterations):
 
         mu = gap / n
         try:
-            w, z_inv = _nt_scaling(x, z)
-            fact = _robust_cho_factor(prob.schur(w))
-            a_wrdw = prob.op_a(w @ rd @ w)
+            # Z = L L^T; with Li = L^-1, Z^-1 = Li^T Li, and Z + a dZ is
+            # PSD exactly when I + a Li dZ Li^T is.
+            li = _solve_lower(_cholesky(z), eye)
+            z_inv = _sym(li.T @ li)
+            fact = _robust_cho_factor(prob.schur(z_inv, x))
+            z_inv_rd_x = z_inv @ rd @ x
 
-            def direction(rc):
-                dy = _cho_solve(fact, rp - prob.op_a(rc) + a_wrdw)
-                aty = prob.op_at(dy)
-                dz = _sym(rd - aty)
-                dx = _sym(rc + w @ (aty - rd) @ w)
+            def direction(r):
+                # C, Z and A^T y are symmetric, so dZ is without symmetrizing,
+                # and so are the updated X and Z.
+                dy = _cho_solve(fact, rp - prob.op_a(r - z_inv_rd_x))
+                dz = rd - prob.op_at(dy)
+                dx = _sym(r - z_inv @ dz @ x)
                 return dy, dx, dz
 
             dy_a, dx_a, dz_a = direction(-x)
-            # X and Z stay fixed through both step-length searches.
+            # X stays fixed through both step-length searches.
             lx = _step_factor(x)
-            lz = _step_factor(z)
             ap = min(1.0, _max_step(lx, dx_a))
-            ad = min(1.0, _max_step(lz, dz_a))
+            ad = min(1.0, _max_identity_step(li @ dz_a @ li.T))
             mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a)) / n
             sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
 
-            dy, dx, dz = direction(sigma * mu * z_inv - x)
+            dy, dx, dz = direction(sigma * mu * z_inv - x - z_inv @ dz_a @ dx_a)
             tau = 0.95 if it <= 3 else 0.98
             ap = min(1.0, tau * _max_step(lx, dx))
-            ad = min(1.0, tau * _max_step(lz, dz))
+            ad = min(1.0, tau * _max_identity_step(li @ dz @ li.T))
             if ap <= 1e-10 and ad <= 1e-10:
                 status = "numerical_failure"
                 break
-            x = _sym(x + ap * dx)
+            x = x + ap * dx
             y = y + ad * dy
-            z = _sym(z + ad * dz)
+            z = z + ad * dz
         except (LinAlgError, SdpError, ValueError):
             status = "numerical_failure"
             break
@@ -524,100 +533,6 @@ def _nt_iterate(prob: SdpProblem, c, b, tol, max_iterations):
         raise SdpError("iteration produced no usable point")
     if status == "optimal":
         return status, it, (x, y, z, rel_gap, pres, dres)
-    return status, it, best[1:]
-
-
-def _unit_diagonal_iterate(c, tol, max_iterations):
-    """Dual-feasible predictor-corrector for min <c, X>, diag(X) = e.
-
-    The XZ (HKM) direction of Helmberg, Rendl, Vanderbei & Wolkowicz
-    (SIAM J. Optim. 1996), with a Mehrotra corrector.  X = I is
-    primal-feasible and a Gershgorin y makes Z = c - Diag(y) diagonally
-    dominant, so Z stays c - Diag(y) exactly and only the gap and the
-    primal residual have to close.  With dZ = -Diag(dy), Newton's step
-    on Z X = sigma mu I reduces to the n x n Schur system
-    (Z^-1 o X) dy = e - sigma mu diag(Z^-1) - diag(K), and then
-    dX = sym(sigma mu Z^-1 - X + Z^-1 Diag(dy) X + K), where
-    K = Z^-1 Diag(dy_a) dX_a is the corrector's second-order term (0 in
-    the predictor).  Z^-1 o X is positive definite whenever X and Z are.
-
-    Returns what ``_nt_iterate`` returns.
-    """
-    n = c.shape[0]
-    e = np.ones(n)
-    norm_b = 1.0 + math.sqrt(n)
-    # Each row of Z exceeds its off-diagonal absolute sum r by r/10 + 1/n,
-    # so lambda_min(Z) >= 1/n by Gershgorin (the iteration count barely
-    # depends on these margins).
-    diag_c = np.diagonal(c)
-    off = np.abs(c).sum(axis=1) - np.abs(diag_c)
-    y = diag_c - off - (0.1 * off + 1.0 / n)
-    x = np.eye(n)
-    z = c - np.diag(y)
-
-    best = None
-    status = "max_iterations"
-    it = 0
-    rel_gap = pres = np.inf
-    for it in range(1, max_iterations + 1):
-        pobj = float(np.vdot(c, x))
-        dobj = float(np.sum(y))
-        gap = float(np.vdot(x, z))
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pres = float(np.linalg.norm(e - np.diagonal(x))) / norm_b
-
-        worst = max(rel_gap, pres)
-        if not np.isfinite(pobj) or not np.isfinite(gap) or not np.isfinite(worst):
-            status = "numerical_failure"
-            break
-
-        if best is None or worst < best[0]:
-            best = (worst, x.copy(), y.copy(), z.copy(), rel_gap, pres, 0.0)
-
-        if worst <= tol:
-            status = "optimal"
-            break
-
-        mu = gap / n
-        try:
-            # Z = L L^T; with Li = L^-1, Z^-1 = Li^T Li, and Z + a Diag(d)
-            # is PSD exactly when I + a Li Diag(d) Li^T is.
-            li = _solve_lower(_cholesky(z), np.eye(n))
-            z_inv = _sym(li.T @ li)
-            fact = _robust_cho_factor(z_inv * x)
-            diag_z_inv = np.diagonal(z_inv)
-
-            dy_a = _cho_solve(fact, e)
-            dx_a = _sym((z_inv * dy_a) @ x - x)
-            # X and Z stay fixed through both step-length searches.
-            lx = _step_factor(x)
-            ap = min(1.0, _max_step(lx, dx_a))
-            ad = min(1.0, _max_identity_step((li * -dy_a) @ li.T))
-            mu_aff = float(np.vdot(x + ap * dx_a, z - ad * np.diag(dy_a))) / n
-            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-8))
-
-            k_diag = ((z_inv * dy_a) * dx_a).sum(axis=1)
-            dy = _cho_solve(fact, e - sigma * mu * diag_z_inv - k_diag)
-            dx = _sym(
-                sigma * mu * z_inv - x + z_inv @ (dy[:, None] * x + dy_a[:, None] * dx_a)
-            )
-            tau = 0.95 if it <= 3 else 0.98
-            ap = min(1.0, tau * _max_step(lx, dx))
-            ad = min(1.0, tau * _max_identity_step((li * -dy) @ li.T))
-            if ap <= 1e-10 and ad <= 1e-10:
-                status = "numerical_failure"
-                break
-            x = _sym(x + ap * dx)
-            y = y + ad * dy
-            z = c - np.diag(y)
-        except (LinAlgError, SdpError, ValueError):
-            status = "numerical_failure"
-            break
-
-    if best is None:
-        raise SdpError("iteration produced no usable point")
-    if status == "optimal":
-        return status, it, (x, y, z, rel_gap, pres, 0.0)
     return status, it, best[1:]
 
 

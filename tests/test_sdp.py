@@ -1,6 +1,7 @@
 """Tests for the dense interior-point kernel and problem builder."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cheeger import bounds
 from cheeger.graphs import brute_force_bisection, complete, cycle, gnp, laplacian
-from cheeger.maxcut import _signed_laplacian, enumerate_maxcut
+from cheeger.maxcut import _signed_laplacian, enumerate_maxcut, solve_maxcut
 from cheeger.sdp import (
     Constraint,
     SdpBuilder,
@@ -23,6 +24,7 @@ from cheeger.sdp import (
     _solve_lower,
     sdp_solve,
 )
+from cheeger.transforms import MaxCutInstance
 
 
 def _global_expansion_problem(g):
@@ -127,17 +129,18 @@ def _node_objective(rng, n, triangles):
     return obj
 
 
-# Agreement between the unit-diagonal method and the generic rows, fixed
-# before the method was written: both converge to the same relaxation
-# value to about SDP_TOL relative.
+# Agreement between the elementwise unit-diagonal rows with their
+# feasible start and the generic rows with their infeasible start, fixed
+# before the unit-diagonal problem type was written: both converge to the
+# same relaxation value to about SDP_TOL relative.
 UNIT_AGREEMENT_TOL = 1e-6
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_unit_diagonal_bound_agrees_with_generic_rows(seed):
-    # The dual-feasible method for diag(X) = 1 and the generic method on
-    # the same rows certify the same node bound, and a solve cut short
-    # after 3 iterations still certifies a valid one.
+    # UnitDiagonalSdp and the generic rows diag(X) = 1 certify the same
+    # node bound, and a unit-diagonal solve cut short after 3 iterations
+    # still certifies a valid one.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 26))
     obj = _node_objective(rng, n, triangles=0 if seed % 2 else 3 * n)
@@ -197,6 +200,22 @@ def test_nan_objective_raises():
             sdp_solve(prob)
 
 
+def test_overflowing_objective_raises_before_iterating():
+    # Past about 1e154 the Frobenius norm that scales the objective
+    # overflows; the solve refuses the problem up front, without warnings.
+    rng = np.random.default_rng(520)
+    w = [[0] * 20 for _ in range(20)]
+    for i in range(20):
+        for j in range(i + 1, 20):
+            w[i][j] = w[j][i] = int(rng.integers(-5, 6)) << 520
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SdpError, match="overflows"):
+            sdp_solve(UnitDiagonalSdp(np.full((3, 3), 1e160)))
+        with pytest.raises(SdpError, match="overflows"):
+            solve_maxcut(MaxCutInstance.build(w))
+
+
 def test_slack_rows_enforce_inequalities():
     # min X_00 with X_00 >= 3 and X_11 <= 5 on a diagonal-only problem.
     bld = SdpBuilder(2)
@@ -226,6 +245,65 @@ def test_sparse_entries_match_dense_matrix():
     con.add_into(out_a, 2.5)
     ref.add_into(out_b, 2.5)
     assert np.allclose(out_a, out_b)
+
+
+def _row_matrices(prob: SdpProblem) -> list[np.ndarray]:
+    mats = []
+    for con in prob.constraints:
+        mat = np.zeros((prob.dim, prob.dim))
+        con.add_into(mat, 1.0)
+        mats.append(mat)
+    return mats
+
+
+def _mixed_rows_problem():
+    """Sparse and dense rows, each with and without a slack entry."""
+    rng = np.random.default_rng(11)
+    dense = _symmetric(rng, 5)
+    bld = SdpBuilder(5)
+    bld.add_eq([(0, 0, 1.0), (1, 3, -2.0)], 1.0)
+    bld.add_eq(dense, 0.5)
+    bld.add_upper([(2, 2, 1.0), (0, 4, 1.0)], 3.0)
+    bld.add_lower(dense.T @ dense, 1.0)
+    return bld.build(_symmetric(rng, 5))
+
+
+@pytest.mark.parametrize("case", ["global", "bisection", "mixed"])
+def test_schur_matches_brute_force(case):
+    prob = {
+        "global": lambda: _global_expansion_problem(gnp(7, 0.5, seed=3)),
+        "bisection": lambda: _bisection_problem(gnp(7, 0.5, seed=3), 3),
+        "mixed": _mixed_rows_problem,
+    }[case]()
+    rng = np.random.default_rng(len(prob.constraints))
+    z_inv = np.linalg.inv(_spd(rng, prob.dim))
+    z_inv = (z_inv + z_inv.T) / 2.0
+    x = _spd(rng, prob.dim)
+    mats = _row_matrices(prob)
+    ref = np.array([[np.trace(a_i @ z_inv @ a_j @ x) for a_j in mats] for a_i in mats])
+    got = prob.schur(z_inv, x)
+    assert np.array_equal(got, got.T)
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_unit_diagonal_operators_match_generic_rows(n):
+    rng = np.random.default_rng(n)
+    bld = SdpBuilder(n)
+    for i in range(n):
+        bld.add_eq([(i, i, 1.0)], 1.0)
+    generic = bld.build(np.zeros((n, n)))
+    unit = UnitDiagonalSdp(np.zeros((n, n)))
+    x = _symmetric(rng, n)
+    y = rng.standard_normal(n)
+    y[0] = 0.0
+    z_inv = np.linalg.inv(_spd(rng, n))
+    z_inv = (z_inv + z_inv.T) / 2.0
+    spd = _spd(rng, n)
+    assert np.array_equal(unit.rhs, generic.rhs)
+    assert np.array_equal(unit.op_a(x), generic.op_a(x))
+    assert np.array_equal(unit.op_at(y), generic.op_at(y))
+    assert np.array_equal(unit.schur(z_inv, spd), generic.schur(z_inv, spd))
 
 
 def test_dimension_cap_enforced():
@@ -413,17 +491,16 @@ def _pinned_generic_solutions(monkeypatch):
 
 
 PINNED_GENERIC_SOLVES = 12
-PINNED_GENERIC_DIGEST = "eb1de6beadf70b44bb47a5a0d2bc0cc95650746906032d9bc42221b78eee1891"
+PINNED_GENERIC_DIGEST = "fb3f1a7d12efa5b3eccb5e3b4600f334bd464e404c392ed881a7d3b3b1cd93db"
 PINNED_UNIT_SOLVES = 20
-PINNED_UNIT_DIGEST = "a74755acb3300776da85833d2ca4d48af8b7739a4ed87b652563d510ae362ead"
-RUNAWAY_BOUND = 4.415311455090652
+PINNED_UNIT_DIGEST = "f57bdf440c8943fec89e9f9d3553fb1f963e685cdf851b376bb9f2c073fa476f"
+RUNAWAY_BOUND = 34929.1129610346
 
 
 def test_solver_outputs_are_pinned(monkeypatch):
-    # The NT-scaled solves were recorded before the kernels called LAPACK
-    # directly and before unit-diagonal problems got their own method:
-    # every iterate of that path is held bit for bit.  The unit-diagonal
-    # solves were recorded when their dual-feasible method was written.
+    # Both problem types run the one XZ predictor-corrector; the digests
+    # hold the outputs of its infeasible (generic rows) and feasible
+    # (unit-diagonal) start paths bit for bit.
     generic = _pinned_generic_solutions(monkeypatch)
     assert len(generic) == PINNED_GENERIC_SOLVES
     assert _solution_digest(generic) == PINNED_GENERIC_DIGEST
@@ -441,9 +518,12 @@ def _runaway_problem():
 
 
 def test_runaway_dual_keeps_status_and_certificate():
-    # The Schur complement overflows at iteration 16; the non-finite
-    # check turns that into numerical_failure with the best iterate.
+    # Z stops being numerically positive definite at iteration 24; the
+    # failed Cholesky factor turns that into numerical_failure with the
+    # best iterate.  The problem is primal infeasible, so any finite
+    # certificate is a valid bound.
     sol = sdp_solve(_runaway_problem())
     assert sol.status == "numerical_failure"
-    assert sol.iterations == 16
+    assert sol.iterations == 24
+    assert np.isfinite(sol.certified_lower_bound(1.0))
     assert sol.certified_lower_bound(1.0) == RUNAWAY_BOUND
