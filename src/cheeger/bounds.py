@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, laplacian
-from .sdp import SdpBuilder, sdp_solve
+from .sdp import BisectionSdp, DenseSdp, sdp_solve
 
 # Rounding guard when lifting a float certificate to an integer cut value.
 CEIL_SLACK = 1e-6
@@ -40,16 +40,27 @@ def global_sdp_bound(g: Graph) -> float:
 
     Minimises <L, X> over tr X = 1 and 1 <= <J, X> <= n/2.  The
     subset-size row is kept at the continuous cap n/2, so the optimum
-    matches the spectral value lambda_2(L)/2 exactly.  The slack-extended
-    block has trace at most n/2, which caps the dual certificate.
+    matches the spectral value lambda_2(L)/2 exactly.
+
+    The two inequalities become equalities through slack entries s1, s2
+    appended on the diagonal of a block of order n + 2:
+    <J, X> - s1 = 1 and <J, X> + s2 = n/2.  Their coupling to the rest of
+    the block is left free, which is harmless: the objective and every
+    row ignore those entries, and any principal sub-block of a PSD matrix
+    is PSD, so projecting them away never changes feasibility or value.
+    The extended block has trace at most n/2, which caps the dual
+    certificate.
     """
     n = g.n
-    bld = SdpBuilder(n)
-    bld.add_eq([(i, i, 1.0) for i in range(n)], 1.0)
-    ones = np.ones((n, n))
-    bld.add_lower(ones, 1.0)
-    bld.add_upper(ones, n / 2.0)
-    sol = sdp_solve(bld.build(laplacian(g)))
+    d = n + 2
+    obj = np.zeros((d, d))
+    obj[:n, :n] = laplacian(g)
+    rows = np.zeros((3, d, d))
+    rows[0, range(n), range(n)] = 1.0
+    rows[1:, :n, :n] = 1.0
+    rows[1, n, n] = -1.0
+    rows[2, n + 1, n + 1] = 1.0
+    sol = sdp_solve(DenseSdp(obj, rows, [1.0, 1.0, n / 2.0]))
     return sol.certified_lower_bound(n / 2.0)
 
 
@@ -68,18 +79,13 @@ def cheap_bisection_bound(g: Graph, k: int) -> Fraction:
 
 
 def bisection_sdp_bound(g: Graph, k: int) -> float:
-    """Certified lower bound on the cardinality-k bisection cut value."""
-    n = g.n
-    d = n + 1
-    bld = SdpBuilder(d)
+    """Certified lower bound on the cardinality-k bisection cut value.
+
+    The relaxation is ``BisectionSdp`` with the Laplacian in its Y block;
+    every feasible X has trace 1 + k, which caps the dual certificate.
+    """
+    d = g.n + 1
     obj = np.zeros((d, d))
     obj[1:, 1:] = laplacian(g)
-    bld.add_eq([(0, 0, 1.0)], 1.0)
-    bld.add_eq([(i, i, 1.0) for i in range(1, d)], float(k))
-    jmat = np.zeros((d, d))
-    jmat[1:, 1:] = 1.0
-    bld.add_eq(jmat, float(k * k))
-    for i in range(1, d):
-        bld.add_eq([(i, i, 1.0), (0, i, -1.0)], 0.0)
-    sol = sdp_solve(bld.build(obj))
+    sol = sdp_solve(BisectionSdp(obj, k))
     return sol.certified_lower_bound(1.0 + k)

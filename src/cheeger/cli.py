@@ -166,28 +166,28 @@ def _render_report(report: SolveReport, fmt: str) -> str:
 
 def _cmd_solve(args) -> int:
     g = _load_graph_file(args.graph)
-    if args.method == "split-bound":
-        report = split_and_bound(
-            g, seed=args.seed, workers=args.workers,
-            node_limit=args.node_limit, time_limit=args.time_limit,
-        )
-    elif args.method == "dinkelbach":
-        report = dinkelbach_solve(
-            g, seed=args.seed, workers=args.workers,
-            node_limit=args.node_limit, time_limit=args.time_limit,
-        )
-    else:
-        try:
+    try:
+        if args.method == "split-bound":
+            report = split_and_bound(
+                g, seed=args.seed, workers=args.workers,
+                node_limit=args.node_limit, time_limit=args.time_limit,
+            )
+        elif args.method == "dinkelbach":
+            report = dinkelbach_solve(
+                g, seed=args.seed, workers=args.workers,
+                node_limit=args.node_limit, time_limit=args.time_limit,
+            )
+        else:
             h, witness = brute_force_h(g)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        report = SolveReport(
-            method="brute", n=g.n, m=g.m, status="solved",
-            lower=h, upper=h, witness=witness.indices(),
-            interesting=0, root_solved=0, nodes=0, iterations=0,
-            seed=args.seed, workers=1, preelim_ms=0.0, total_ms=0.0,
-        )
+            report = SolveReport(
+                method="brute", n=g.n, m=g.m, status="solved",
+                lower=h, upper=h, witness=witness.indices(),
+                interesting=0, root_solved=0, nodes=0, iterations=0,
+                seed=args.seed, workers=1, preelim_ms=0.0, total_ms=0.0,
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     _emit(_render_report(report, args.format), args.out)
     return EXIT_OK if report.status == "solved" else EXIT_LIMIT
 
@@ -219,16 +219,20 @@ def _bounds_text(rows) -> str:
 
 def _cmd_bounds(args) -> int:
     g = _load_graph_file(args.graph)
-    limited = False
     if args.k is None:
-        rows = pre_eliminate(g, seed=args.seed).rows()
+        table = pre_eliminate(g, seed=args.seed, time_limit=args.time_limit)
+        rows, limited = table.rows(), table.cut_short
     else:
         if not 1 <= args.k <= g.n // 2:
             raise GraphFormatError(f"k must lie in [1, {g.n // 2}], got {args.k}")
-        row = solve_cardinality(
-            g, args.k, seed=args.seed, workers=args.workers,
-            node_limit=args.node_limit, time_limit=args.time_limit,
-        )
+        try:
+            row = solve_cardinality(
+                g, args.k, seed=args.seed, workers=args.workers,
+                node_limit=args.node_limit, time_limit=args.time_limit,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         rows, limited = (row,), row.status == "pending"
     if args.format == "json":
         text = _bounds_payload(g, rows)

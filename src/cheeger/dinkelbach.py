@@ -25,7 +25,7 @@ from .annealing import best_expansion_witness
 from .graphs import Graph, VertexSubset, cut_value
 from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
 from .report import SolveReport, TraceRow
-from .transforms import dinkelbach_to_maxcut
+from .transforms import dinkelbach_to_maxcut, require_relaxation_fits, slack_weights
 
 log = logging.getLogger(__name__)
 
@@ -138,8 +138,11 @@ def dinkelbach_solve(
     Starts from the annealing heuristic's best ratio; every later
     candidate is the exact ratio of the previous minimizer, so each
     gamma is backed by a genuine cut and is a valid upper bound
-    throughout.  Stops at Q(gamma) = 0.
+    throughout.  Stops at Q(gamma) = 0.  Raises ``ValueError`` when the
+    encoding (anchor, graph and two slack counters) exceeds
+    ``sdp.DIMENSION_CAP``.
     """
+    require_relaxation_fits(g.n + 1 + 2 * len(slack_weights(g.n)))
     started = time.monotonic()
     gamma, witness = best_expansion_witness(g, seed=seed, restarts=1)
     preelim_ms = (time.monotonic() - started) * 1000.0

@@ -13,13 +13,13 @@ M is symmetric, and positive definite whenever X and Z are.
 The iteration reads a problem only through five members:
 ``rhs`` (b), ``op_a`` (X -> A(X)), ``op_at`` (y -> A^T y),
 ``schur(z_inv, x)`` (the matrix M) and ``start(c)`` (the first
-(X, y, Z) for the scaled objective c).  Two problem types supply them:
+(X, y, Z) for the scaled objective c).  Three problem types supply them:
 
-- ``SdpProblem`` (general rows, built by ``SdpBuilder``) starts
-  infeasible at (xi I, 0, eta I).  Inequality rows are handled by
-  appending nonnegative slack variables as extra diagonal entries of the
-  (single, dense) PSD block.  This serves the cheap and global bounds,
-  whose few rows mix dense and sparse matrices.
+- ``BisectionSdp`` (the arrow-structured rows of the cardinality-k
+  bisection, applied from their structure) serves the cheap
+  per-cardinality bound, and ``DenseSdp`` (a few dense rows held as one
+  array) the global bound.  Both start infeasible at (xi I, 0, eta I).
+  ``DenseSdp`` is also the tests' reference for the structured types.
 - ``UnitDiagonalSdp`` (the max-cut rows diag(X) = 1, applied
   elementwise, so M = Z^-1 o X) starts feasible: X = I, and a Gershgorin
   y makes Z = C - Diag(y) positive definite, as in Biq Mac (Rendl,
@@ -46,8 +46,9 @@ raises ``LinAlgError``, which the iteration answers as numerical failure.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -55,7 +56,7 @@ from scipy.linalg import lapack
 
 log = logging.getLogger(__name__)
 
-# Hard cap on the (slack-extended) block dimension.
+# Hard cap on the block dimension of every problem.
 DIMENSION_CAP = 600
 # Interior-point stopping tolerance for every bound the package computes.
 SDP_TOL = 1e-7
@@ -65,131 +66,101 @@ class SdpError(RuntimeError):
     """Unrecoverable numerical failure inside the kernel."""
 
 
-@dataclass
-class Constraint:
-    """One equality row <A, X> = rhs.
+def _infeasible_start(n: int, rhs: np.ndarray, norms: np.ndarray, c: np.ndarray):
+    """(xi I, 0, eta I), sized to b, the row norms and c."""
+    xi = n * max(1.0, float(np.max((1.0 + np.abs(rhs)) / (1.0 + norms))))
+    eta = max(1.0, float(np.max(norms)), float(np.linalg.norm(c)))
+    return xi * np.eye(n), np.zeros(len(rhs)), eta * np.eye(n)
 
-    Sparse rows store the symmetric matrix in COO triplets with both (i, j)
-    and (j, i) present; dense rows keep the matrix itself.  The ``entries``
-    accepted by ``from_entries`` are ``(i, j, c)`` meaning "coefficient c on
-    X_ij", counting each unordered pair once, which is what constraint
-    authors actually write.
+
+class DenseSdp:
+    """min <C, X> s.t. <A_i, X> = b_i, X PSD, for a few dense rows.
+
+    ``rows`` holds the symmetric matrices A_i as one (m, d, d) array,
+    which costs m d^2 floats: right for a handful of rows only.
     """
 
-    rhs: float
-    dense: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    vals: np.ndarray | None = None
-
-    @classmethod
-    def from_entries(cls, entries, rhs: float) -> "Constraint":
-        r, c, v = [], [], []
-        for i, j, coeff in entries:
-            if i == j:
-                r.append(i)
-                c.append(j)
-                v.append(float(coeff))
-            else:
-                r.extend((i, j))
-                c.extend((j, i))
-                v.extend((coeff / 2.0, coeff / 2.0))
-        return cls(
-            rhs=float(rhs),
-            rows=np.asarray(r, dtype=np.intp),
-            cols=np.asarray(c, dtype=np.intp),
-            vals=np.asarray(v, dtype=float),
-        )
-
-    @classmethod
-    def from_dense(cls, mat: np.ndarray, rhs: float) -> "Constraint":
-        return cls(rhs=float(rhs), dense=_sym(np.asarray(mat, dtype=float)))
-
-    def inner(self, x: np.ndarray) -> float:
-        if self.dense is not None:
-            return float(np.vdot(self.dense, x))
-        return float(np.dot(self.vals, x[self.rows, self.cols]))
-
-    def add_into(self, out: np.ndarray, scale: float):
-        if self.dense is not None:
-            out += scale * self.dense
-        else:
-            np.add.at(out, (self.rows, self.cols), scale * self.vals)
-
-    def product(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """left A right, the building block of the Schur complement."""
-        if self.dense is not None:
-            return left @ self.dense @ right
-        return (left[:, self.rows] * self.vals) @ right[self.cols, :]
-
-    def norm(self) -> float:
-        if self.dense is not None:
-            return float(np.linalg.norm(self.dense))
-        return float(np.linalg.norm(self.vals))
-
-
-@dataclass
-class SdpProblem:
-    dim: int
-    c: np.ndarray
-    constraints: list[Constraint]
+    def __init__(self, c: np.ndarray, rows: np.ndarray, rhs):
+        self.c = np.asarray(c, dtype=float)
+        self.dim = self.c.shape[0]
+        self.rows = np.asarray(rows, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self._flat = self.rows.reshape(len(self.rhs), -1)
 
     def op_a(self, x: np.ndarray) -> np.ndarray:
-        return np.array([con.inner(x) for con in self.constraints])
+        return self._flat @ x.ravel()
 
     def op_at(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for yi, con in zip(y, self.constraints):
-            if yi != 0.0:
-                con.add_into(out, yi)
-        return out
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array([con.rhs for con in self.constraints])
-
-    def start(self, c: np.ndarray):
-        """Infeasible start (xi I, 0, eta I), sized to b, the rows and c."""
-        n = self.dim
-        norms = [con.norm() for con in self.constraints]
-        ratios = [(1.0 + abs(con.rhs)) / (1.0 + nm) for con, nm in zip(self.constraints, norms)]
-        xi = n * max(1.0, max(ratios))
-        eta = max(1.0, max(norms), float(np.linalg.norm(c)))
-        return xi * np.eye(n), np.zeros(len(norms)), eta * np.eye(n)
-
-    @cached_property
-    def _gather(self):
-        """Row indices by kind, sparse rows padded into (rows, cols, vals)."""
-        sparse_idx = [k for k, con in enumerate(self.constraints) if con.dense is None]
-        dense_idx = [k for k, con in enumerate(self.constraints) if con.dense is not None]
-        width = max((len(self.constraints[k].vals) for k in sparse_idx), default=0)
-        rows = np.zeros((len(sparse_idx), width), dtype=np.intp)
-        cols = np.zeros((len(sparse_idx), width), dtype=np.intp)
-        vals = np.zeros((len(sparse_idx), width))
-        for slot, k in enumerate(sparse_idx):
-            con = self.constraints[k]
-            nnz = len(con.vals)
-            rows[slot, :nnz] = con.rows
-            cols[slot, :nnz] = con.cols
-            vals[slot, :nnz] = con.vals
-        return sparse_idx, dense_idx, rows, cols, vals
+        return (y @ self._flat).reshape(self.dim, self.dim)
 
     def schur(self, z_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The Schur complement M_ij = <A_i, Z^-1 A_j X> of the XZ direction.
+        """M_ij = <A_i, Z^-1 A_j X>, one batched product for all columns."""
+        prods = (z_inv @ self.rows @ x).reshape(len(self.rhs), -1)
+        return _sym(self._flat @ prods.T)
 
-        Each column costs one product plus one fancy gather over all
-        sparse rows instead of a Python-level loop of inner products.
+    def start(self, c: np.ndarray):
+        return _infeasible_start(self.dim, self.rhs, np.linalg.norm(self._flat, axis=1), c)
+
+
+class BisectionSdp:
+    """The arrow-structured relaxation of the cardinality-k bisection.
+
+    Over X = [[1, x^T], [x, Y]] of order d = n + 1, the n + 3 rows are,
+    in order, X_00 = 1, tr Y = k, <J, Y> = k^2 and X_ii - X_0i = 0 for
+    i = 1..n.  They are applied from that structure, at O(n^2) per call
+    besides one matrix product in ``schur``.  The relaxation has no
+    interior point (X (-k, e) = 0 for every feasible X), so the start is
+    the infeasible (xi I, 0, eta I).
+    """
+
+    def __init__(self, c: np.ndarray, k: int):
+        self.c = np.asarray(c, dtype=float)
+        self.dim = self.c.shape[0]
+        n = self.dim - 1
+        self.rhs = np.concatenate(([1.0, float(k), float(k * k)], np.zeros(n)))
+        # Frobenius norms of E_00, I_B, J_B and E_ii - (E_0i + E_i0)/2.
+        self._norms = np.concatenate(([1.0, math.sqrt(n), float(n)], np.full(n, math.sqrt(1.5))))
+
+    def op_a(self, x: np.ndarray) -> np.ndarray:
+        diag = np.diagonal(x)[1:]
+        head = [x[0, 0], diag.sum(), x[1:, 1:].sum()]
+        return np.concatenate((head, diag - 0.5 * (x[0, 1:] + x[1:, 0])))
+
+    def op_at(self, y: np.ndarray) -> np.ndarray:
+        d = self.dim
+        out = np.full((d, d), y[2])
+        out[0, 0] = y[0]
+        out[0, 1:] = out[1:, 0] = -0.5 * y[3:]
+        i = np.arange(1, d)
+        out[i, i] = (y[1] + y[2]) + y[3:]
+        return out
+
+    def schur(self, z_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """M_ij = <A_i, W A_j X> with W = Z^-1, from the row structure.
+
+        The columns of E_00, I_B and J_B are A applied to W A_j X, an
+        outer product, a matrix product and an outer product.  For the
+        coordinate rows A_i = E_ii - (E_0i + E_i0)/2, P = W A_i X has
+        P_ab = W_ai X_ib - (W_a0 X_ib + W_ai X_0b)/2, so row r of that
+        column, P_rr - (P_0r + P_r0)/2, is elementwise in the symmetric
+        W and X.  M is symmetric, which fills in the remaining block.
         """
-        sparse_idx, dense_idx, rows, cols, vals = self._gather
-        m = len(self.constraints)
+        w = z_inv
+        m = len(self.rhs)
         mat = np.empty((m, m))
-        for j, con in enumerate(self.constraints):
-            prod = con.product(z_inv, x)
-            if sparse_idx:
-                mat[sparse_idx, j] = np.einsum("ik,ik->i", vals, prod[rows, cols])
-            for k in dense_idx:
-                mat[k, j] = self.constraints[k].inner(prod)
+        mat[:, 0] = self.op_a(np.outer(w[:, 0], x[0]))
+        mat[:, 1] = self.op_a(w[:, 1:] @ x[1:])
+        mat[:, 2] = self.op_a(np.outer(w[:, 1:].sum(axis=1), x[1:].sum(axis=0)))
+        mat[:3, 3:] = mat[3:, :3].T
+        wb, xb, w0, x0 = w[1:, 1:], x[1:, 1:], w[1:, 0], x[1:, 0]
+        p_rr = wb * xb - 0.5 * (w0[:, None] * xb + wb * x0[:, None])
+        p_0r = xb * w0 - 0.5 * (w[0, 0] * xb + np.outer(x0, w0))
+        p_r0 = wb * x0 - 0.5 * (np.outer(w0, x0) + x[0, 0] * wb)
+        mat[3:, 3:] = p_rr - 0.5 * (p_0r + p_r0)
         return _sym(mat)
+
+    def start(self, c: np.ndarray):
+        return _infeasible_start(self.dim, self.rhs, self._norms, c)
 
 
 class UnitDiagonalSdp:
@@ -226,62 +197,12 @@ class UnitDiagonalSdp:
         return np.eye(n), y, c - np.diag(y)
 
 
-class SdpBuilder:
-    """Assemble a problem over an n x n block plus scalar slack entries.
-
-    ``add_upper``/``add_lower`` turn <G, X> <= r (resp. >=) into an equality
-    with a fresh slack slot appended on the diagonal of the extended block.
-    Off-diagonal coupling between slacks and the block is left free, which
-    is harmless: the objective and every row ignore those entries, and any
-    principal sub-block of a PSD matrix is PSD, so projecting them away
-    never changes feasibility or value.
-    """
-
-    def __init__(self, base_dim: int):
-        self.base_dim = base_dim
-        self._eqs: list[tuple[object, float]] = []
-        self._ineqs: list[tuple[object, float, float]] = []
-
-    def add_eq(self, lhs, rhs: float):
-        self._eqs.append((lhs, rhs))
-
-    def add_upper(self, lhs, rhs: float):
-        """<lhs, X> <= rhs via a +1 slack."""
-        self._ineqs.append((lhs, rhs, 1.0))
-
-    def add_lower(self, lhs, rhs: float):
-        """<lhs, X> >= rhs via a -1 slack."""
-        self._ineqs.append((lhs, rhs, -1.0))
-
-    def build(self, objective: np.ndarray) -> SdpProblem:
-        dim = self.base_dim + len(self._ineqs)
-        if dim > DIMENSION_CAP:
-            raise SdpError(f"extended block dimension {dim} exceeds cap {DIMENSION_CAP}")
-        c = np.zeros((dim, dim))
-        c[: self.base_dim, : self.base_dim] = objective
-        cons = []
-        for lhs, rhs in self._eqs:
-            cons.append(self._make(lhs, rhs, dim, None, 0.0))
-        for slot, (lhs, rhs, sign) in enumerate(self._ineqs):
-            cons.append(self._make(lhs, rhs, dim, self.base_dim + slot, sign))
-        return SdpProblem(dim=dim, c=c, constraints=cons)
-
-    def _make(self, lhs, rhs, dim, slack_idx, sign) -> Constraint:
-        if isinstance(lhs, np.ndarray):
-            mat = np.zeros((dim, dim))
-            mat[: self.base_dim, : self.base_dim] = lhs
-            if slack_idx is not None:
-                mat[slack_idx, slack_idx] = sign
-            return Constraint.from_dense(mat, rhs)
-        entries = list(lhs)
-        if slack_idx is not None:
-            entries.append((slack_idx, slack_idx, sign))
-        return Constraint.from_entries(entries, rhs)
+Problem = DenseSdp | BisectionSdp | UnitDiagonalSdp
 
 
 @dataclass
 class SdpSolution:
-    problem: SdpProblem | UnitDiagonalSdp
+    problem: Problem
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -395,7 +316,7 @@ def _max_identity_step(a: np.ndarray) -> float:
 
 
 def sdp_solve(
-    prob: SdpProblem | UnitDiagonalSdp, tol: float = SDP_TOL, max_iterations: int = 100
+    prob: Problem, tol: float = SDP_TOL, max_iterations: int = 100
 ) -> SdpSolution:
     """Run the interior-point iteration; always returns a usable solution.
 
@@ -451,7 +372,7 @@ def sdp_solve(
     )
 
 
-def _iterate(prob: SdpProblem | UnitDiagonalSdp, c, b, tol, max_iterations):
+def _iterate(prob: Problem, c, b, tol, max_iterations):
     """XZ predictor-corrector from ``prob.start(c)``.
 
     Returns (status, iterations, (x, y, z, rel_gap, pres, dres)) with the

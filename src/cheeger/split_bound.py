@@ -36,7 +36,7 @@ from .graphs import Graph, VertexSubset, cut_value
 from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
 from .report import BoundRow, SolveReport
 from .sdp import SdpError
-from .transforms import bisection_to_maxcut
+from .transforms import bisection_to_maxcut, require_relaxation_fits
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +58,9 @@ class BoundsTable:
     ``lower[k]`` is a certified lower bound on cut(S)/k over size-k
     subsets; ``upper_cut[k]`` is the best known size-k cut value with
     its subset in ``witness[k]``.  ``ustar`` is the smallest ratio seen
-    anywhere, always backed by a genuine cut.
+    anywhere, always backed by a genuine cut.  ``cut_short`` marks a
+    table whose later rows were filled in after the time limit, from the
+    eigenvalue bound and the first k vertices.
     """
 
     n: int
@@ -68,6 +70,7 @@ class BoundsTable:
     status: dict = field(default_factory=dict)
     ustar: Fraction | None = None
     ustar_witness: VertexSubset | None = None
+    cut_short: bool = False
 
     def upper(self, k: int) -> Fraction:
         return Fraction(self.upper_cut[k], k)
@@ -128,7 +131,12 @@ def cheap_lower_bound(g: Graph, k: int) -> Fraction:
         return _fallback_lower(g, k, spectral_bound(g))
 
 
-def pre_eliminate(g: Graph, seed: int = 0, initial_ustar: Fraction | None = None) -> BoundsTable:
+def pre_eliminate(
+    g: Graph,
+    seed: int = 0,
+    initial_ustar: Fraction | None = None,
+    time_limit: float = DEFAULT_TIME_LIMIT,
+) -> BoundsTable:
     """Bound every cardinality and drop those that cannot host the optimum.
 
     Lower bounds come from the certified relaxation (with an eigenvalue
@@ -137,13 +145,28 @@ def pre_eliminate(g: Graph, seed: int = 0, initial_ustar: Fraction | None = None
     strictly below the best ratio seen anywhere.  When ``initial_ustar``
     is given it acts as the starting threshold and annealing results
     only tighten it through genuine cuts.
+
+    Cardinalities are taken in increasing order.  Once ``time_limit``
+    seconds have passed (k = 1 is always bounded in full, so an
+    incumbent exists), each remaining k gets the rationalized eigenvalue
+    bound and the cut of its first k vertices instead, and the table is
+    marked ``cut_short``.
     """
+    started = time.monotonic()
     table = BoundsTable(n=g.n)
     if initial_ustar is not None:
         table.ustar = initial_ustar
     for k in range(1, g.n // 2 + 1):
-        table.lower[k] = cheap_lower_bound(g, k)
-        cut, subset = anneal_bisection(g, k, seed=seed, restarts=PRE_RESTARTS)
+        if not table.cut_short and k > 1 and time.monotonic() - started >= time_limit:
+            table.cut_short = True
+            half_lambda = spectral_bound(g)
+        if table.cut_short:
+            table.lower[k] = _fallback_lower(g, k, half_lambda)
+            subset = VertexSubset.from_indices(g.n, range(k))
+            cut = cut_value(g, subset)
+        else:
+            table.lower[k] = cheap_lower_bound(g, k)
+            cut, subset = anneal_bisection(g, k, seed=seed, restarts=PRE_RESTARTS)
         table.upper_cut[k] = cut
         table.witness[k] = subset
         table.offer(Fraction(cut, k), subset)
@@ -229,10 +252,14 @@ def _run_exact_phase(
     processing order and the penalty weights), then each one is solved
     with the injected threshold ``offset - ceil(ustar * k)``.  With
     ``stop_on_improvement`` the phase returns at the first genuine cut
-    below the starting threshold, which is the verification mode.
+    below the starting threshold, which is the verification mode.  The
+    time limit is checked before every re-anneal and every exact solve.
     """
     phase = _ExactPhase()
     for k in table.survivors():
+        if time.monotonic() - started >= time_limit:
+            phase.hit_limit = True
+            return phase
         cut, subset = anneal_bisection(g, k, seed=seed, restarts=EXACT_PHASE_RESTARTS)
         if cut < table.upper_cut[k]:
             table.upper_cut[k] = cut
@@ -289,6 +316,7 @@ def solve_cardinality(
     When the budget runs out first the row is "pending" and brackets the
     optimum between the cheap lower bound and the annealed cut.
     """
+    require_relaxation_fits(g.n + 1)
     cut, subset = anneal_bisection(g, k, seed=seed, restarts=EXACT_PHASE_RESTARTS)
     _, exact_cut, exact_subset = _exact_bisection(
         g, k, cut, None, seed, workers, node_limit, time_limit,
@@ -317,10 +345,18 @@ def split_and_bound(
         worker reproduces the run bit for bit.
     workers : int
         Forwarded to the inner branch-and-bound engine.
-    node_limit, time_limit : shared budget across all exact solves.
+    node_limit, time_limit : shared budget across the whole run.  A run
+        cut short reports "limit", with a lower bound that is valid for
+        the cardinalities it never reached.
+
+    Raises
+    ------
+    ValueError
+        If the relaxations, of order n + 1, exceed ``sdp.DIMENSION_CAP``.
     """
+    require_relaxation_fits(g.n + 1)
     started = time.monotonic()
-    table = pre_eliminate(g, seed=seed)
+    table = pre_eliminate(g, seed=seed, time_limit=time_limit)
     preelim_ms = (time.monotonic() - started) * 1000.0
     interesting = len(table.survivors())
     phase = _ExactPhase()
@@ -331,9 +367,7 @@ def split_and_bound(
         )
     if phase.hit_limit:
         status = "limit"
-        open_lowers = [table.lower[k] for k in table.survivors()]
-        lower = min(open_lowers) if open_lowers else table.ustar
-        lower = min(lower, table.ustar)
+        lower = min([table.lower[k] for k in table.survivors()] + [table.ustar])
     else:
         status = "solved"
         lower = table.ustar
@@ -383,14 +417,18 @@ def verify_lower_bound(
     LimitExceeded
         If the node or time budget runs out before the question is
         settled.
+    ValueError
+        On a negative ``upsilon``, or if the relaxations, of order n + 1,
+        exceed ``sdp.DIMENSION_CAP``.
     """
     upsilon = Fraction(upsilon)
     if upsilon < 0:
         raise ValueError("a lower bound candidate must be nonnegative")
     if upsilon == 0:
         return True, None
+    require_relaxation_fits(g.n + 1)
     started = time.monotonic()
-    table = pre_eliminate(g, seed=seed, initial_ustar=upsilon)
+    table = pre_eliminate(g, seed=seed, initial_ustar=upsilon, time_limit=time_limit)
     if table.ustar < upsilon:
         return False, table.ustar_witness
     phase = _run_exact_phase(

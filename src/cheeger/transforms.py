@@ -146,6 +146,16 @@ def load_instance(source) -> MaxCutInstance:
     return MaxCutInstance.build(weights)
 
 
+def require_relaxation_fits(order: int):
+    """Refuse, before any work, an instance whose node relaxation exceeds
+    the solver's cap; ``order`` counts the instance's vertices."""
+    if order > DIMENSION_CAP:
+        raise ValueError(
+            f"the max-cut instance has {order} vertices, over the relaxation "
+            f"cap sdp.DIMENSION_CAP = {DIMENSION_CAP}"
+        )
+
+
 def _anchor_decode(mask: int, n: int) -> tuple[int, ...]:
     """Bits x_i = 1 when instance vertex i + 1 sits on the anchor's side."""
     anchor = mask & 1

@@ -8,9 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from cheeger import split_bound
+from cheeger import dinkelbach, split_bound
 from cheeger.cli import main
-from cheeger.graphs import Graph, brute_force_bisection, dump_graph, gnp, load_graph
+from cheeger.graphs import (
+    Graph,
+    brute_force_bisection,
+    cycle,
+    dump_graph,
+    gnp,
+    load_graph,
+)
 from cheeger.transforms import MaxCutInstance, dump_instance
 
 C6_TEXT = "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n"
@@ -109,6 +116,40 @@ def test_bounds_star_rows(tmp_path, capsys):
         ["2", "1", "1", "1", "1"],
         ["3", "1", "1", "1", "1"],
     ]
+
+
+def test_bounds_time_limit_marks_the_table(tmp_path, capsys):
+    g = gnp(13, 0.4, seed=1)
+    p = tmp_path / "g.graph"
+    p.write_text(dump_graph(g))
+    code, out, _ = run(["bounds", "--time-limit", "0", str(p)], capsys)
+    assert code == 3
+    rows = out.splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, 7))
+    for row in rows:
+        k, lo_n, lo_d, up_n, up_d = map(int, row.split(",")[:5])
+        exact, _ = brute_force_bisection(g, k)
+        assert Fraction(lo_n, lo_d) <= Fraction(exact, k) <= Fraction(up_n, up_d)
+
+
+def test_graphs_beyond_the_relaxation_cap_exit_two(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("annealing started on a graph over the cap")
+
+    monkeypatch.setattr(split_bound, "anneal_bisection", refuse)
+    monkeypatch.setattr(dinkelbach, "best_expansion_witness", refuse)
+    p = tmp_path / "c700.graph"
+    p.write_text(dump_graph(cycle(700)))
+    for argv in (
+        ["solve", str(p)],
+        ["solve", "--method", "dinkelbach", str(p)],
+        ["bounds", "--k", "3", str(p)],
+        ["verify", "--lb", "1/2", str(p)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "DIMENSION_CAP" in err
 
 
 def test_bounds_single_cardinality(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Tests for the dense interior-point kernel and problem builder."""
+"""Tests for the dense interior-point kernel and its problem types."""
 
 import hashlib
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from cheeger import bounds
 from cheeger.graphs import brute_force_bisection, complete, cycle, gnp, laplacian
 from cheeger.maxcut import _signed_laplacian, enumerate_maxcut, solve_maxcut
 from cheeger.sdp import (
-    Constraint,
-    SdpBuilder,
+    DIMENSION_CAP,
+    BisectionSdp,
+    DenseSdp,
     SdpError,
-    SdpProblem,
     UnitDiagonalSdp,
     _cho_solve,
     _cholesky,
@@ -27,38 +29,65 @@ from cheeger.sdp import (
 from cheeger.transforms import MaxCutInstance
 
 
+def _row(d, entries):
+    """The symmetric A with <A, X> = sum of c X_ij over (i, j, c), each
+    unordered pair listed once."""
+    a = np.zeros((d, d))
+    for i, j, coeff in entries:
+        a[i, j] += coeff / 2.0
+        a[j, i] += coeff / 2.0
+    return a
+
+
+def _dense(c, rows):
+    """DenseSdp from (A_i, b_i) pairs."""
+    mats, rhs = zip(*rows)
+    return DenseSdp(c, np.array(mats), rhs)
+
+
+def _unit_diagonal_rows(c):
+    """diag(X) = 1 as n dense rows."""
+    n = c.shape[0]
+    return _dense(c, [(_row(n, [(i, i, 1.0)]), 1.0) for i in range(n)])
+
+
 def _global_expansion_problem(g):
-    """min <L, X>, tr X = 1, 1 <= <J, X> <= n/2, X PSD."""
+    """min <L, X>, tr X = 1, 1 <= <J, X> <= n/2, X PSD, with two slacks."""
     n = g.n
-    bld = SdpBuilder(n)
-    bld.add_eq([(i, i, 1.0) for i in range(n)], 1.0)
-    j = np.ones((n, n))
-    bld.add_lower(j, 1.0)
-    bld.add_upper(j, n / 2.0)
-    return bld.build(laplacian(g))
+    d = n + 2
+    c = np.zeros((d, d))
+    c[:n, :n] = laplacian(g)
+    j = np.zeros((d, d))
+    j[:n, :n] = 1.0
+    return _dense(c, [
+        (_row(d, [(i, i, 1.0) for i in range(n)]), 1.0),
+        (j + _row(d, [(n, n, -1.0)]), 1.0),
+        (j + _row(d, [(n + 1, n + 1, 1.0)]), n / 2.0),
+    ])
 
 
-def _bisection_problem(g, k):
-    """Arrow-structured relaxation of the cardinality-k bisection."""
-    n = g.n
-    d = n + 1
-    bld = SdpBuilder(d)
-    obj = np.zeros((d, d))
-    obj[1:, 1:] = laplacian(g)
-    bld.add_eq([(0, 0, 1.0)], 1.0)
-    bld.add_eq([(i, i, 1.0) for i in range(1, d)], float(k))
-    jmat = np.zeros((d, d))
-    jmat[1:, 1:] = 1.0
-    bld.add_eq(jmat, float(k * k))
-    for i in range(1, d):
-        bld.add_eq([(i, i, 1.0), (0, i, -1.0)], 0.0)
-    return bld.build(obj)
+def _bisection_objective(g):
+    c = np.zeros((g.n + 1, g.n + 1))
+    c[1:, 1:] = laplacian(g)
+    return c
+
+
+def _dense_bisection_problem(c, k):
+    """The rows of BisectionSdp written out densely, in the same order."""
+    d = c.shape[0]
+    j = np.zeros((d, d))
+    j[1:, 1:] = 1.0
+    rows = [
+        (_row(d, [(0, 0, 1.0)]), 1.0),
+        (_row(d, [(i, i, 1.0) for i in range(1, d)]), float(k)),
+        (j, float(k * k)),
+    ]
+    rows += [(_row(d, [(i, i, 1.0), (0, i, -1.0)]), 0.0) for i in range(1, d)]
+    return _dense(c, rows)
 
 
 def test_min_trace_is_one():
-    bld = SdpBuilder(3)
-    bld.add_eq([(i, i, 1.0) for i in range(3)], 1.0)
-    sol = sdp_solve(bld.build(np.eye(3)))
+    sol = sdp_solve(DenseSdp(np.eye(3), np.eye(3)[None], [1.0]))
     assert sol.status == "optimal"
     assert abs(sol.primal_obj - 1.0) < 1e-6
     assert abs(sol.dual_obj - 1.0) < 1e-6
@@ -78,11 +107,13 @@ def test_bisection_relaxation_bounds_true_bisection():
     g = cycle(6)
     k = 3
     exact, _ = brute_force_bisection(g, k)
-    sol = sdp_solve(_bisection_problem(g, k), tol=1e-8)
-    assert sol.status == "optimal"
-    assert sol.primal_obj <= exact + 1e-6
-    assert sol.primal_obj > 1.0  # strong enough to round up to the optimum
-    assert int(np.ceil(sol.primal_obj - 1e-6)) == exact
+    for prob in (BisectionSdp(_bisection_objective(g), k),
+                 _dense_bisection_problem(_bisection_objective(g), k)):
+        sol = sdp_solve(prob, tol=1e-8)
+        assert sol.status == "optimal"
+        assert sol.primal_obj <= exact + 1e-6
+        assert sol.primal_obj > 1.0  # strong enough to round up to the optimum
+        assert int(np.ceil(sol.primal_obj - 1e-6)) == exact
 
 
 def test_certified_bound_is_safe_even_when_stopped_early():
@@ -108,10 +139,7 @@ def test_maxcut_relaxation_value():
     # n/4 * lambda_max(L); solved as a minimization of the negation.
     g = cycle(5)
     lam_max = np.max(np.linalg.eigvalsh(laplacian(g)))
-    bld = SdpBuilder(5)
-    for i in range(5):
-        bld.add_eq([(i, i, 1.0)], 1.0)
-    sol = sdp_solve(bld.build(-laplacian(g) / 4.0), tol=1e-8)
+    sol = sdp_solve(_unit_diagonal_rows(-laplacian(g) / 4.0), tol=1e-8)
     assert sol.status == "optimal"
     assert -sol.primal_obj == pytest.approx(5.0 * lam_max / 4.0, abs=1e-6)
 
@@ -130,7 +158,7 @@ def _node_objective(rng, n, triangles):
 
 
 # Agreement between the elementwise unit-diagonal rows with their
-# feasible start and the generic rows with their infeasible start, fixed
+# feasible start and the dense rows with their infeasible start, fixed
 # before the unit-diagonal problem type was written: both converge to the
 # same relaxation value to about SDP_TOL relative.
 UNIT_AGREEMENT_TOL = 1e-6
@@ -138,16 +166,13 @@ UNIT_AGREEMENT_TOL = 1e-6
 
 @pytest.mark.parametrize("seed", range(8))
 def test_unit_diagonal_bound_agrees_with_generic_rows(seed):
-    # UnitDiagonalSdp and the generic rows diag(X) = 1 certify the same
+    # UnitDiagonalSdp and the dense rows diag(X) = 1 certify the same
     # node bound, and a unit-diagonal solve cut short after 3 iterations
     # still certifies a valid one.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 26))
     obj = _node_objective(rng, n, triangles=0 if seed % 2 else 3 * n)
-    bld = SdpBuilder(n)
-    for i in range(n):
-        bld.add_eq([(i, i, 1.0)], 1.0)
-    generic = sdp_solve(bld.build(-obj), max_iterations=60)
+    generic = sdp_solve(_unit_diagonal_rows(-obj), max_iterations=60)
     unit = sdp_solve(UnitDiagonalSdp(-obj), max_iterations=60)
     assert generic.status == unit.status == "optimal"
     bound = generic.certified_lower_bound(n)
@@ -192,10 +217,9 @@ def test_nan_objective_raises():
     # No iterate is usable, so there is no certificate to fall back on.
     obj = np.eye(4)
     obj[1, 2] = obj[2, 1] = np.nan
-    bld = SdpBuilder(4)
-    for i in range(4):
-        bld.add_eq([(i, i, 1.0)], 1.0)
-    for prob in (UnitDiagonalSdp(obj), bld.build(obj)):
+    c = np.zeros((5, 5))
+    c[1:, 1:] = obj
+    for prob in (UnitDiagonalSdp(obj), _unit_diagonal_rows(obj), BisectionSdp(c, 2)):
         with pytest.raises(SdpError, match="no usable point"):
             sdp_solve(prob)
 
@@ -217,69 +241,53 @@ def test_overflowing_objective_raises_before_iterating():
 
 
 def test_slack_rows_enforce_inequalities():
-    # min X_00 with X_00 >= 3 and X_11 <= 5 on a diagonal-only problem.
-    bld = SdpBuilder(2)
-    bld.add_lower([(0, 0, 1.0)], 3.0)
-    bld.add_upper([(1, 1, 1.0)], 5.0)
-    obj = np.zeros((2, 2))
+    # min X_00 with X_00 >= 3 and X_11 <= 5 on a diagonal-only problem,
+    # as X_00 - s1 = 3 and X_11 + s2 = 5 with the slacks on the diagonal.
+    obj = np.zeros((4, 4))
     obj[0, 0] = 1.0
-    sol = sdp_solve(bld.build(obj), tol=1e-8)
+    sol = sdp_solve(_dense(obj, [
+        (_row(4, [(0, 0, 1.0), (2, 2, -1.0)]), 3.0),
+        (_row(4, [(1, 1, 1.0), (3, 3, 1.0)]), 5.0),
+    ]), tol=1e-8)
     assert sol.status == "optimal"
     assert sol.primal_obj == pytest.approx(3.0, abs=1e-6)
     assert sol.x[1, 1] <= 5.0 + 1e-6
 
 
-def test_sparse_entries_match_dense_matrix():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((4, 4))
-    x = x + x.T
-    dense = np.zeros((4, 4))
-    dense[0, 0] = 2.0
-    dense[1, 2] = dense[2, 1] = -1.5
-    dense[3, 3] = 0.5
-    con = Constraint.from_entries([(0, 0, 2.0), (1, 2, -3.0), (3, 3, 0.5)], 1.0)
-    ref = Constraint.from_dense(dense, 1.0)
-    assert con.inner(x) == pytest.approx(ref.inner(x), abs=1e-12)
-    out_a = np.zeros((4, 4))
-    out_b = np.zeros((4, 4))
-    con.add_into(out_a, 2.5)
-    ref.add_into(out_b, 2.5)
-    assert np.allclose(out_a, out_b)
-
-
-def _row_matrices(prob: SdpProblem) -> list[np.ndarray]:
-    mats = []
-    for con in prob.constraints:
-        mat = np.zeros((prob.dim, prob.dim))
-        con.add_into(mat, 1.0)
-        mats.append(mat)
-    return mats
-
-
 def _mixed_rows_problem():
-    """Sparse and dense rows, each with and without a slack entry."""
+    """Few-entry and full rows, each with and without a slack entry."""
     rng = np.random.default_rng(11)
-    dense = _symmetric(rng, 5)
-    bld = SdpBuilder(5)
-    bld.add_eq([(0, 0, 1.0), (1, 3, -2.0)], 1.0)
-    bld.add_eq(dense, 0.5)
-    bld.add_upper([(2, 2, 1.0), (0, 4, 1.0)], 3.0)
-    bld.add_lower(dense.T @ dense, 1.0)
-    return bld.build(_symmetric(rng, 5))
+    dense = np.zeros((7, 7))
+    dense[:5, :5] = _symmetric(rng, 5)
+    c = np.zeros((7, 7))
+    c[:5, :5] = _symmetric(rng, 5)
+    return _dense(c, [
+        (_row(7, [(0, 0, 1.0), (1, 3, -2.0)]), 1.0),
+        (dense, 0.5),
+        (_row(7, [(2, 2, 1.0), (0, 4, 1.0), (5, 5, 1.0)]), 3.0),
+        (dense.T @ dense + _row(7, [(6, 6, -1.0)]), 1.0),
+    ])
 
 
-@pytest.mark.parametrize("case", ["global", "bisection", "mixed"])
+def _bisection_pair(n, k):
+    """BisectionSdp and its dense rows on G(n, 0.5)."""
+    c = _bisection_objective(gnp(n, 0.5, seed=3))
+    return BisectionSdp(c, k), _dense_bisection_problem(c, k)
+
+
+@pytest.mark.parametrize("case", ["global", "bisection", "arrow", "mixed"])
 def test_schur_matches_brute_force(case):
-    prob = {
-        "global": lambda: _global_expansion_problem(gnp(7, 0.5, seed=3)),
-        "bisection": lambda: _bisection_problem(gnp(7, 0.5, seed=3), 3),
-        "mixed": _mixed_rows_problem,
+    prob, ref_prob = {
+        "global": lambda: (_global_expansion_problem(gnp(7, 0.5, seed=3)),) * 2,
+        "bisection": lambda: (_bisection_pair(7, 3)[1],) * 2,
+        "arrow": lambda: _bisection_pair(7, 3),
+        "mixed": lambda: (_mixed_rows_problem(),) * 2,
     }[case]()
-    rng = np.random.default_rng(len(prob.constraints))
+    rng = np.random.default_rng(len(prob.rhs))
     z_inv = np.linalg.inv(_spd(rng, prob.dim))
     z_inv = (z_inv + z_inv.T) / 2.0
     x = _spd(rng, prob.dim)
-    mats = _row_matrices(prob)
+    mats = ref_prob.rows
     ref = np.array([[np.trace(a_i @ z_inv @ a_j @ x) for a_j in mats] for a_i in mats])
     got = prob.schur(z_inv, x)
     assert np.array_equal(got, got.T)
@@ -289,10 +297,7 @@ def test_schur_matches_brute_force(case):
 @pytest.mark.parametrize("n", [1, 2, 7, 20])
 def test_unit_diagonal_operators_match_generic_rows(n):
     rng = np.random.default_rng(n)
-    bld = SdpBuilder(n)
-    for i in range(n):
-        bld.add_eq([(i, i, 1.0)], 1.0)
-    generic = bld.build(np.zeros((n, n)))
+    generic = _unit_diagonal_rows(np.zeros((n, n)))
     unit = UnitDiagonalSdp(np.zeros((n, n)))
     x = _symmetric(rng, n)
     y = rng.standard_normal(n)
@@ -306,42 +311,46 @@ def test_unit_diagonal_operators_match_generic_rows(n):
     assert np.array_equal(unit.schur(z_inv, spd), generic.schur(z_inv, spd))
 
 
+@pytest.mark.parametrize("n", [3, 4, 9, 20])
+def test_bisection_operators_match_dense_rows(n):
+    # Integer data keep every sum exact, so the structured operators must
+    # equal the dense rows' bit for bit, on unsymmetric input too (the
+    # iteration applies A to unsymmetric matrices).
+    rng = np.random.default_rng(n)
+    k = int(rng.integers(1, n // 2 + 1))
+    arrow, dense = _bisection_pair(n, k)
+    x = rng.integers(-9, 10, size=(n + 1, n + 1)).astype(float)
+    y = rng.integers(-9, 10, size=n + 3).astype(float)
+    assert np.array_equal(arrow.rhs, dense.rhs)
+    assert np.array_equal(arrow.op_a(x), dense.op_a(x))
+    assert np.array_equal(arrow.op_at(y), dense.op_at(y))
+    for got, ref in zip(arrow.start(arrow.c), dense.start(dense.c)):
+        assert np.array_equal(got, ref)
+    z_inv = np.linalg.inv(_spd(rng, n + 1))
+    z_inv = (z_inv + z_inv.T) / 2.0
+    spd = _spd(rng, n + 1)
+    got = arrow.schur(z_inv, spd)
+    ref = dense.schur(z_inv, spd)
+    assert np.array_equal(got, got.T)
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 11), st.sampled_from((0.3, 0.5, 0.8)), st.integers(0, 10**6))
+def test_cheap_bound_equals_the_dense_rows_fraction(n, p, seed):
+    g = gnp(n, p, seed=seed)
+    c = _bisection_objective(g)
+    for k in range(1, n // 2 + 1):
+        cert = sdp_solve(_dense_bisection_problem(c, k)).certified_lower_bound(1.0 + k)
+        ref = Fraction(max(1, math.ceil(cert - bounds.CEIL_SLACK)), k)
+        assert bounds.cheap_bisection_bound(g, k) == ref
+
+
 def test_dimension_cap_enforced():
-    bld = SdpBuilder(10)
-    for _ in range(700):
-        bld.add_upper([(0, 0, 1.0)], 1.0)
-    with pytest.raises(SdpError, match="cap"):
-        bld.build(np.eye(10))
-
-
-def dump_problem(prob: SdpProblem) -> str:
-    """Plain-text triplet dump, for debugging by eye or by diff."""
-    lines = [f"dim {prob.dim} constraints {len(prob.constraints)}"]
-    ii, jj = np.nonzero(prob.c)
-    pairs = [(i, j) for i, j in zip(ii, jj) if i <= j]
-    lines.append(f"objective nnz {len(pairs)}")
-    for i, j in pairs:
-        lines.append(f"  0 {i} {j} {prob.c[i, j]:.17g}")
-    for idx, con in enumerate(prob.constraints, start=1):
-        if con.dense is not None:
-            ii, jj = np.nonzero(con.dense)
-            trip = [(i, j, con.dense[i, j]) for i, j in zip(ii, jj) if i <= j]
-        else:
-            trip = [
-                (i, j, v if i == j else 2 * v)
-                for i, j, v in zip(con.rows, con.cols, con.vals)
-                if i <= j
-            ]
-        lines.append(f"constraint {idx} rhs {con.rhs:.17g} nnz {len(trip)}")
-        lines.extend(f"  {idx} {i} {j} {v:.17g}" for i, j, v in trip)
-    return "\n".join(lines) + "\n"
-
-
-def test_problem_dump_mentions_every_row():
-    prob = _global_expansion_problem(complete(4))
-    text = dump_problem(prob)
-    assert text.startswith("dim 6 constraints 3")
-    assert text.count("constraint ") == 3
+    d = DIMENSION_CAP + 1
+    for prob in (DenseSdp(np.eye(d), np.eye(d)[None], [1.0]), BisectionSdp(np.eye(d), 1)):
+        with pytest.raises(SdpError, match=f"dimension {d} exceeds cap {DIMENSION_CAP}"):
+            sdp_solve(prob)
 
 
 # -- direct LAPACK helpers ---------------------------------------------------
@@ -476,7 +485,7 @@ def _pinned_generic_solutions(monkeypatch):
     for seed in range(3):
         g = gnp(9, 0.5, seed=seed)
         out.append(sdp_solve(_global_expansion_problem(g), tol=1e-8))
-        out.append(sdp_solve(_bisection_problem(g, 4), tol=1e-8))
+        out.append(sdp_solve(BisectionSdp(_bisection_objective(g), 4), tol=1e-8))
 
     def recording_solve(prob, **kwargs):
         sol = sdp_solve(prob, **kwargs)
@@ -491,7 +500,7 @@ def _pinned_generic_solutions(monkeypatch):
 
 
 PINNED_GENERIC_SOLVES = 12
-PINNED_GENERIC_DIGEST = "fb3f1a7d12efa5b3eccb5e3b4600f334bd464e404c392ed881a7d3b3b1cd93db"
+PINNED_GENERIC_DIGEST = "47bc8d704ce6e277b5e9c93e3178dd823d7a84410ea76dc105b1af177d8bb406"
 PINNED_UNIT_SOLVES = 20
 PINNED_UNIT_DIGEST = "f57bdf440c8943fec89e9f9d3553fb1f963e685cdf851b376bb9f2c073fa476f"
 RUNAWAY_BOUND = 34929.1129610346
@@ -499,7 +508,7 @@ RUNAWAY_BOUND = 34929.1129610346
 
 def test_solver_outputs_are_pinned(monkeypatch):
     # Both problem types run the one XZ predictor-corrector; the digests
-    # hold the outputs of its infeasible (generic rows) and feasible
+    # hold the outputs of its infeasible (dense and arrow rows) and feasible
     # (unit-diagonal) start paths bit for bit.
     generic = _pinned_generic_solutions(monkeypatch)
     assert len(generic) == PINNED_GENERIC_SOLVES
@@ -511,19 +520,16 @@ def test_solver_outputs_are_pinned(monkeypatch):
 
 def _runaway_problem():
     """X_01 = 1 with X_00 = 0 has no PSD solution, so the dual runs away."""
-    bld = SdpBuilder(2)
-    bld.add_eq([(0, 1, 1.0)], 1.0)
-    bld.add_eq([(0, 0, 1.0)], 0.0)
-    return bld.build(np.eye(2))
+    return _dense(np.eye(2), [(_row(2, [(0, 1, 1.0)]), 1.0), (_row(2, [(0, 0, 1.0)]), 0.0)])
 
 
 def test_runaway_dual_keeps_status_and_certificate():
-    # Z stops being numerically positive definite at iteration 24; the
+    # Z stops being numerically positive definite at iteration 25; the
     # failed Cholesky factor turns that into numerical_failure with the
     # best iterate.  The problem is primal infeasible, so any finite
     # certificate is a valid bound.
     sol = sdp_solve(_runaway_problem())
     assert sol.status == "numerical_failure"
-    assert sol.iterations == 24
+    assert sol.iterations == 25
     assert np.isfinite(sol.certified_lower_bound(1.0))
     assert sol.certified_lower_bound(1.0) == RUNAWAY_BOUND

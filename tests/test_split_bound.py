@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from cheeger import dinkelbach, split_bound
+from cheeger.dinkelbach import dinkelbach_solve
 from cheeger.graphs import (
     VertexSubset,
+    brute_force_bisection,
     brute_force_h,
     complete,
     cut_value,
@@ -20,6 +23,7 @@ from cheeger.sdp import SdpError
 from cheeger.split_bound import (
     LimitExceeded,
     pre_eliminate,
+    solve_cardinality,
     split_and_bound,
     verify_lower_bound,
 )
@@ -165,3 +169,79 @@ def test_verify_raises_when_budget_runs_out():
     g = gnp(13, 0.4, seed=1)
     with pytest.raises(LimitExceeded):
         verify_lower_bound(g, Fraction(5, 3), time_limit=0.0)
+
+
+def _counting_anneal(monkeypatch):
+    calls = []
+    original = split_bound.anneal_bisection
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(split_bound, "anneal_bisection", counting)
+    return calls
+
+
+def test_time_limit_stops_annealing(monkeypatch):
+    # With no time at all, only k = 1 is annealed (so an incumbent
+    # exists); every other k gets the eigenvalue bound and a genuine cut.
+    calls = _counting_anneal(monkeypatch)
+    g = cycle(12)
+    h, _ = brute_force_h(g)
+    rep = split_and_bound(g, time_limit=0.0)
+    assert calls == [1]
+    assert rep.status == "limit"
+    assert rep.lower <= h <= rep.upper
+    for row in rep.table:
+        exact, _ = brute_force_bisection(g, row.k)
+        assert row.lower <= Fraction(exact, row.k) <= row.upper
+        assert expansion(g, VertexSubset.from_indices(g.n, row.witness)) == row.upper
+
+    calls.clear()
+    table = pre_eliminate(g, time_limit=0.0)
+    assert calls == [1]
+    assert table.cut_short and sorted(table.lower) == list(range(1, 7))
+    assert not pre_eliminate(g).cut_short
+
+    calls.clear()
+    with pytest.raises(LimitExceeded):
+        verify_lower_bound(g, h, time_limit=0.0)
+    assert calls == [1]
+    # A refuting cut already in hand is returned, not a limit.
+    ok, cert = verify_lower_bound(g, Fraction(1), time_limit=0.0)
+    assert ok is False and expansion(g, cert) < 1
+
+
+class _Annealed(Exception):
+    """Raised by annealing stubs: the run got past its size check."""
+
+
+def _refuse_annealing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Annealed
+
+    monkeypatch.setattr(split_bound, "anneal_bisection", refuse)
+    monkeypatch.setattr(split_bound, "cheap_lower_bound", refuse)
+    monkeypatch.setattr(dinkelbach, "best_expansion_witness", refuse)
+
+
+def test_graphs_beyond_the_relaxation_cap_are_refused_up_front(monkeypatch):
+    # Split & bound relaxes instances of order n + 1; Dinkelbach adds two
+    # slack counters, 2 * 9 vertices for n around 590.
+    _refuse_annealing(monkeypatch)
+    too_big = cycle(600)
+    for call in (
+        lambda: split_and_bound(too_big),
+        lambda: verify_lower_bound(too_big, Fraction(1, 2)),
+        lambda: solve_cardinality(too_big, 3),
+        lambda: dinkelbach_solve(cycle(582)),
+    ):
+        with pytest.raises(ValueError, match="DIMENSION_CAP = 600"):
+            call()
+    for call in (
+        lambda: split_and_bound(cycle(599)),
+        lambda: dinkelbach_solve(cycle(581)),
+    ):
+        with pytest.raises(_Annealed):
+            call()
