@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -70,16 +71,27 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _nonnegative(kind):
+    """Argument type for budgets and seeds: ``kind`` values >= 0, not NaN."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"not a nonnegative number: {text!r}")
+        return value
+    return parse
+
+
 def _add_budget_options(p: argparse.ArgumentParser):
-    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+    p.add_argument("--time-limit", type=_nonnegative(float), default=DEFAULT_TIME_LIMIT,
                    metavar="S", help="wall-clock budget in seconds "
                    f"(default {DEFAULT_TIME_LIMIT:g})")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT,
+    p.add_argument("--node-limit", type=_nonnegative(int), default=DEFAULT_NODE_LIMIT,
                    metavar="N", help="total branch-and-bound node budget "
                    f"(default {DEFAULT_NODE_LIMIT})")
-    p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="bounding threads in the inner engine (default 1)")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
+    p.add_argument("--seed", type=_nonnegative(int), default=0, metavar="S",
                    help="seed for heuristics and rounding (default 0)")
 
 
@@ -169,12 +181,12 @@ def _cmd_solve(args) -> int:
     try:
         if args.method == "split-bound":
             report = split_and_bound(
-                g, seed=args.seed, workers=args.workers,
+                g, seed=args.seed,
                 node_limit=args.node_limit, time_limit=args.time_limit,
             )
         elif args.method == "dinkelbach":
             report = dinkelbach_solve(
-                g, seed=args.seed, workers=args.workers,
+                g, seed=args.seed,
                 node_limit=args.node_limit, time_limit=args.time_limit,
             )
         else:
@@ -183,7 +195,7 @@ def _cmd_solve(args) -> int:
                 method="brute", n=g.n, m=g.m, status="solved",
                 lower=h, upper=h, witness=witness.indices(),
                 interesting=0, root_solved=0, nodes=0, iterations=0,
-                seed=args.seed, workers=1, preelim_ms=0.0, total_ms=0.0,
+                seed=args.seed, preelim_ms=0.0, total_ms=0.0,
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -227,7 +239,7 @@ def _cmd_bounds(args) -> int:
             raise GraphFormatError(f"k must lie in [1, {g.n // 2}], got {args.k}")
         try:
             row = solve_cardinality(
-                g, args.k, seed=args.seed, workers=args.workers,
+                g, args.k, seed=args.seed,
                 node_limit=args.node_limit, time_limit=args.time_limit,
             )
         except ValueError as exc:
@@ -248,7 +260,7 @@ def _cmd_verify(args) -> int:
     g = _load_graph_file(args.graph)
     try:
         ok, certificate = verify_lower_bound(
-            g, args.lb, seed=args.seed, workers=args.workers,
+            g, args.lb, seed=args.seed,
             node_limit=args.node_limit, time_limit=args.time_limit,
         )
     except ValueError as exc:
@@ -294,7 +306,7 @@ def _cmd_maxcut(args) -> int:
     trace_rows: list | None = [] if args.trace else None
     res = solve_maxcut(
         inst, node_limit=args.node_limit, time_limit=args.time_limit,
-        seed=args.seed, workers=args.workers, trace=trace_rows,
+        seed=args.seed, trace=trace_rows,
     )
     if args.trace:
         lines = ["node,depth,bound,incumbent"]

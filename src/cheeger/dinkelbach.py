@@ -84,7 +84,6 @@ def evaluate_q(
     g: Graph,
     gamma: Fraction,
     seed: int = 0,
-    workers: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> QEvaluation:
@@ -110,7 +109,6 @@ def evaluate_q(
         node_limit=node_limit,
         time_limit=time_limit,
         seed=seed,
-        workers=workers,
     )
     ms = (time.monotonic() - started) * 1000.0
     if res.status != "optimal":
@@ -138,10 +136,13 @@ def dinkelbach_solve(
     Starts from the annealing heuristic's best ratio; every later
     candidate is the exact ratio of the previous minimizer, so each
     gamma is backed by a genuine cut and is a valid upper bound
-    throughout.  Stops at Q(gamma) = 0.  Raises ``ValueError`` when the
-    encoding (anchor, graph and two slack counters) exceeds
-    ``sdp.DIMENSION_CAP``.
+    throughout.  Stops at Q(gamma) = 0.  ``workers`` is accepted for
+    compatibility and must be 1.  Raises ``ValueError`` for any other
+    ``workers``, or when the encoding (anchor, graph and two slack
+    counters) exceeds ``sdp.DIMENSION_CAP``.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}: the search runs in one loop")
     require_relaxation_fits(g.n + 1 + 2 * len(slack_weights(g.n)))
     started = time.monotonic()
     gamma, witness = best_expansion_witness(g, seed=seed, restarts=1)
@@ -167,7 +168,6 @@ def dinkelbach_solve(
         ev = evaluate_q(
             g, gamma,
             seed=seed * 977 + evaluation,
-            workers=workers,
             node_limit=budget_nodes,
             time_limit=budget_time,
         )
@@ -217,7 +217,6 @@ def dinkelbach_solve(
         nodes=nodes_total,
         iterations=len(rows) - 1 if solved else len(rows),
         seed=seed,
-        workers=workers,
         preelim_ms=preelim_ms,
         total_ms=(time.monotonic() - started) * 1000.0,
         trace=tuple(rows),

@@ -21,6 +21,12 @@ integers in the same array expressions once weights are too wide for
 int64); floats appear only inside relaxation bounds, which are certified
 and therefore safe to floor against the integer incumbent.
 
+The search is one best-first loop over a heap of open nodes: pop the
+node with the largest bound and branch it unless its floored bound no
+longer beats the incumbent.  Nothing runs concurrently, so with a fixed
+seed the node order and the result are reproducible, and a failing bound
+raises out of ``solve_maxcut`` instead of losing its subtree.
+
 An injected ``initial_lb`` turns the search into a threshold test: the
 incumbent starts there without a witness, and if nothing beats it the
 status reports "bound-stop", certifying the optimum is at most the
@@ -33,7 +39,6 @@ import heapq
 import itertools
 import math
 import operator
-import threading
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -276,25 +281,20 @@ class _Search:
         node_limit,
         time_limit,
         seed,
-        workers,
         trace,
     ):
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.leaf_order = LEAF_SIZE
         self.seed = seed
-        self.workers = max(1, workers)
         self.trace = trace
         self.started = time.monotonic()
 
-        self.lock = threading.Condition()
         self.heap = []
-        self.in_flight = 0
         self.nodes = 0
-        self.next_id = 0
-        self.push_seq = 0
+        self.node_ids = itertools.count()
+        self.pushes = itertools.count()
         self.hit_limit = False
-        self.error = None
 
         self.injected = initial_lb is not None
         self.incumbent = initial_lb if self.injected else 0
@@ -304,12 +304,7 @@ class _Search:
         self.orig_n = instance.n
         weights = [list(row) for row in instance.weights]
         groups = tuple(((i, 1),) for i in range(instance.n))
-        self.root = _Node(weights, 0, groups, 0, self._claim_id())
-
-    def _claim_id(self):
-        nid = self.next_id
-        self.next_id += 1
-        return nid
+        self.root = _Node(weights, 0, groups, 0, next(self.node_ids))
 
     def _elapsed(self):
         return time.monotonic() - self.started
@@ -331,11 +326,10 @@ class _Search:
                     mask |= 1 << orig
         if mask & 1:
             mask ^= (1 << self.orig_n) - 1
-        with self.lock:
-            if value > self.incumbent:
-                self.incumbent = value
-                self.incumbent_mask = mask
-                self.updated = True
+        if value > self.incumbent:
+            self.incumbent = value
+            self.incumbent_mask = mask
+            self.updated = True
         return value
 
     # -- bounding ----------------------------------------------------------
@@ -398,8 +392,7 @@ class _Search:
                 stalls += 1
             for signs in gw_round(x, rng, rounds=6):
                 self._offer(node, signs)
-            with self.lock:
-                target = self.incumbent + 1 - POLYAK_MARGIN
+            target = self.incumbent + 1 - POLYAK_MARGIN
             if self._floor(bound) <= self.incumbent or stalls >= 2:
                 break
             grad = np.empty(len(triangles))
@@ -422,8 +415,7 @@ class _Search:
 
     def _admit(self, node: _Node, cap: float = math.inf):
         """Bound or enumerate a freshly created node, pushing if still open."""
-        with self.lock:
-            self.nodes += 1
+        self.nodes += 1
         if node.size <= self.leaf_order:
             value, mask = enumerate_maxcut(node.weights)
             signs = [1 if not mask >> i & 1 else -1 for i in range(node.size)]
@@ -433,17 +425,13 @@ class _Search:
         self._bound(node)
         node.bound = min(node.bound, cap)
         self._log_node(node, node.bound)
-        with self.lock:
-            if self._floor(node.bound) > self.incumbent:
-                heapq.heappush(self.heap, (-node.bound, -node.depth, self.push_seq, node))
-                self.push_seq += 1
-                self.lock.notify_all()
+        if self._floor(node.bound) > self.incumbent:
+            heapq.heappush(self.heap, (-node.bound, -node.depth, next(self.pushes), node))
 
     def _log_node(self, node: _Node, bound):
         if self.trace is None:
             return
-        with self.lock:
-            self.trace.append((node.node_id, node.depth, float(bound), self.incumbent))
+        self.trace.append((node.node_id, node.depth, float(bound), self.incumbent))
 
     def _branch(self, node: _Node):
         row = node.anchor_row
@@ -455,58 +443,18 @@ class _Search:
             )
             keep = [t for t in range(node.size) if t != pick]
             groups = (merged,) + tuple(node.groups[t] for t in keep[1:])
-            child = _Node(weights, node.const + shift, groups, node.depth + 1, None)
-            with self.lock:
-                child.node_id = self._claim_id()
+            child = _Node(weights, node.const + shift, groups, node.depth + 1, next(self.node_ids))
             self._admit(child, cap=node.bound)
-
-    def _worker_loop(self):
-        while True:
-            with self.lock:
-                while not self.heap and self.in_flight > 0 and not self.hit_limit:
-                    self.lock.wait(0.02)
-                if self.hit_limit or (not self.heap and self.in_flight == 0):
-                    self.lock.notify_all()
-                    return
-                if self._limits_exceeded():
-                    self.hit_limit = True
-                    self.lock.notify_all()
-                    return
-                _, _, _, node = heapq.heappop(self.heap)
-                if self._floor(node.bound) <= self.incumbent:
-                    continue
-                self.in_flight += 1
-            try:
-                self._branch(node)
-            except Exception as exc:
-                # A lost subtree voids any optimality claim: stop every
-                # worker and let run() re-raise once they have joined.
-                with self.lock:
-                    if self.error is None:
-                        self.error = exc
-                    self.hit_limit = True
-                return
-            finally:
-                with self.lock:
-                    self.in_flight -= 1
-                    self.lock.notify_all()
 
     def run(self) -> MaxCutResult:
         self._admit(self.root)
-        if self.heap:
-            if self.workers == 1:
-                self._worker_loop()
-            else:
-                threads = [
-                    threading.Thread(target=self._worker_loop, daemon=True)
-                    for _ in range(self.workers)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-        if self.error is not None:
-            raise self.error
+        while self.heap:
+            if self._limits_exceeded():
+                self.hit_limit = True
+                break
+            _, _, _, node = heapq.heappop(self.heap)
+            if self._floor(node.bound) > self.incumbent:
+                self._branch(node)
 
         open_bounds = [-entry[0] for entry in self.heap]
         if self.hit_limit:
@@ -531,7 +479,6 @@ def solve_maxcut(
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
     seed: int = 0,
-    workers: int = 1,
     trace: list | None = None,
 ) -> MaxCutResult:
     """Solve max-cut exactly, or test it against an injected threshold.
@@ -548,19 +495,8 @@ def solve_maxcut(
         status "limit" with the incumbent and the best open bound.
     seed : int
         Drives hyperplane rounding; fixed seed makes runs reproducible.
-    workers : int
-        Concurrent bounding threads; 1 is the deterministic reference.
     trace : list, optional
         Collects one ``(node id, depth, bound, incumbent)`` row per
         processed node, in processing order.
     """
-    search = _Search(
-        instance,
-        initial_lb,
-        node_limit,
-        time_limit,
-        seed,
-        workers,
-        trace,
-    )
-    return search.run()
+    return _Search(instance, initial_lb, node_limit, time_limit, seed, trace).run()

@@ -6,8 +6,8 @@ provided:
 
 * ``report_json``: the full record, schema-versioned, timings included.
 * ``canonical_json``: the same record minus every wall-clock field, so
-  that repeated runs with one worker and a fixed seed produce identical
-  bytes.  Harness scripts diff this form.
+  that repeated runs with a fixed seed produce identical bytes.  Harness
+  scripts diff this form.
 * CSV tables for the per-cardinality bounds and the ratio-search trace,
   with column order frozen.
 
@@ -75,7 +75,6 @@ class SolveReport:
     nodes: int
     iterations: int
     seed: int
-    workers: int
     preelim_ms: float
     total_ms: float
     table: tuple[BoundRow, ...] = ()
@@ -99,7 +98,8 @@ def _base_payload(report: SolveReport) -> dict:
         "nodes": report.nodes,
         "iterations": report.iterations,
         "seed": report.seed,
-        "workers": report.workers,
+        # Schema 1 keeps this column; the search always runs one loop.
+        "workers": 1,
         "table": [
             [row.k, row.lower.numerator, row.lower.denominator,
              row.upper.numerator, row.upper.denominator, row.status]
@@ -114,7 +114,7 @@ def _base_payload(report: SolveReport) -> dict:
 
 
 def canonical_json(report: SolveReport) -> str:
-    """Timing-free rendering; byte-stable for a fixed seed, one worker."""
+    """Timing-free rendering; byte-stable for a fixed seed."""
     payload = _base_payload(report)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -167,7 +167,7 @@ def summary_csv(report: SolveReport) -> str:
         f"{report.upper.numerator},{report.upper.denominator},"
         f"{report.lower.numerator},{report.lower.denominator},"
         f"\"{witness}\",{report.interesting},{report.root_solved},"
-        f"{report.nodes},{report.iterations},{report.seed},{report.workers},"
+        f"{report.nodes},{report.iterations},{report.seed},1,"
         f"{report.preelim_ms:.3f},{report.total_ms:.3f}"
     )
     return header + "\n" + row + "\n"

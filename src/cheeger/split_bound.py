@@ -194,7 +194,6 @@ def _exact_bisection(
     upper_cut: int,
     threshold: int | None,
     seed: int,
-    workers: int,
     node_limit: int,
     time_limit: float,
 ):
@@ -213,7 +212,6 @@ def _exact_bisection(
         node_limit=node_limit,
         time_limit=time_limit,
         seed=seed,
-        workers=workers,
     )
     if res.status != "optimal":
         return res, None, None
@@ -240,7 +238,6 @@ def _run_exact_phase(
     g: Graph,
     table: BoundsTable,
     seed: int,
-    workers: int,
     node_limit: int,
     time_limit: float,
     started: float,
@@ -279,7 +276,7 @@ def _run_exact_phase(
             return phase
         res, exact_cut, subset = _exact_bisection(
             g, k, table.upper_cut[k], _ceil_threshold(table.ustar, k),
-            seed * 131 + k, workers, budget_nodes, budget_time,
+            seed * 131 + k, budget_nodes, budget_time,
         )
         phase.attempts += 1
         phase.nodes += res.nodes
@@ -305,7 +302,6 @@ def solve_cardinality(
     g: Graph,
     k: int,
     seed: int = 0,
-    workers: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> BoundRow:
@@ -319,7 +315,7 @@ def solve_cardinality(
     require_relaxation_fits(g.n + 1)
     cut, subset = anneal_bisection(g, k, seed=seed, restarts=EXACT_PHASE_RESTARTS)
     _, exact_cut, exact_subset = _exact_bisection(
-        g, k, cut, None, seed, workers, node_limit, time_limit,
+        g, k, cut, None, seed, node_limit, time_limit,
     )
     if exact_subset is None:
         return BoundRow(k, cheap_lower_bound(g, k), Fraction(cut, k), "pending",
@@ -341,10 +337,11 @@ def split_and_bound(
     ----------
     g : Graph
     seed : int
-        Drives annealing and the inner engine; fixed seed with one
-        worker reproduces the run bit for bit.
+        Drives annealing and the inner engine; a fixed seed reproduces
+        the run bit for bit.
     workers : int
-        Forwarded to the inner branch-and-bound engine.
+        Accepted for compatibility; only 1 is valid, because the engine
+        runs one search loop.
     node_limit, time_limit : shared budget across the whole run.  A run
         cut short reports "limit", with a lower bound that is valid for
         the cardinalities it never reached.
@@ -352,8 +349,11 @@ def split_and_bound(
     Raises
     ------
     ValueError
-        If the relaxations, of order n + 1, exceed ``sdp.DIMENSION_CAP``.
+        If ``workers`` is not 1, or if the relaxations, of order n + 1,
+        exceed ``sdp.DIMENSION_CAP``.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}: the search runs in one loop")
     require_relaxation_fits(g.n + 1)
     started = time.monotonic()
     table = pre_eliminate(g, seed=seed, time_limit=time_limit)
@@ -362,7 +362,7 @@ def split_and_bound(
     phase = _ExactPhase()
     if interesting:
         phase = _run_exact_phase(
-            g, table, seed, workers, node_limit, time_limit,
+            g, table, seed, node_limit, time_limit,
             started, stop_on_improvement=False,
         )
     if phase.hit_limit:
@@ -384,7 +384,6 @@ def split_and_bound(
         nodes=phase.nodes,
         iterations=phase.attempts,
         seed=seed,
-        workers=workers,
         preelim_ms=preelim_ms,
         total_ms=(time.monotonic() - started) * 1000.0,
         table=table.rows(),
@@ -395,7 +394,6 @@ def verify_lower_bound(
     g: Graph,
     upsilon: Fraction,
     seed: int = 0,
-    workers: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ):
@@ -432,7 +430,7 @@ def verify_lower_bound(
     if table.ustar < upsilon:
         return False, table.ustar_witness
     phase = _run_exact_phase(
-        g, table, seed, workers, node_limit, time_limit,
+        g, table, seed, node_limit, time_limit,
         started, stop_on_improvement=True,
     )
     if phase.violation is not None:

@@ -94,6 +94,38 @@ def test_solve_limit_exit_code(capsys, monkeypatch):
     assert "bounds" in out
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--time-limit", "nan"),
+    ("--time-limit", "-1"),
+    ("--time-limit", "-inf"),
+    ("--node-limit", "-1"),
+    ("--node-limit", "1.5"),
+    ("--seed", "-1"),
+])
+def test_bad_budgets_exit_two(capsys, option, value):
+    # An elapsed > nan comparison is always False, so a NaN time limit
+    # would switch every budget check off, and the engine's rounding
+    # generator raises on a negative seed; argparse refuses both instead.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", f"{option}={value}", "-"])
+    assert exc.value.code == 2
+    assert f"argument {option}: not a nonnegative number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value", [("--time-limit", "inf"), ("--node-limit", "0")])
+def test_edge_budgets_are_accepted(capsys, monkeypatch, option, value):
+    code, out, _ = run(["solve", option, value, "-"], capsys, monkeypatch, stdin=C6_TEXT)
+    assert code in (0, 3)
+    assert out.startswith("method      split-bound")
+
+
+def test_workers_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--workers", "1", "-"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_solve_brute_refuses_large_graphs(capsys, monkeypatch):
     gen_code, graph_text, _ = run(["gen", "hypercube", "5"], capsys)
     assert gen_code == 0

@@ -1,7 +1,6 @@
 """Tests for the branch-and-bound max-cut solver."""
 
 import random
-import threading
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -451,51 +450,24 @@ def test_same_seed_same_search(monkeypatch):
     assert first.nodes == second.nodes
 
 
-def test_worker_pool_agrees_with_serial(monkeypatch):
-    monkeypatch.setattr(maxcut, "LEAF_SIZE", 6)
-    rng = random.Random(6)
-    inst = _random_instance(rng, 12)
-    serial = solve_maxcut(inst, seed=1)
-    pooled = solve_maxcut(inst, seed=1, workers=2)
-    assert pooled.status == "optimal"
-    assert pooled.value == serial.value
-    assert inst.cut_weight(pooled.mask) == pooled.value
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_worker_failure_propagates(monkeypatch, workers):
+def test_bound_failure_propagates(monkeypatch):
     # A clean run on this instance explores about fifty nodes.  The second
-    # bound (a child node, inside a worker thread) fails; the search must
-    # stop every worker and re-raise rather than report "optimal" with a
-    # subtree never explored.
+    # bound (the first child node) fails; the search must raise rather
+    # than report "optimal" with a subtree never explored.
     red = dinkelbach_to_maxcut(cycle(16), Fraction(1, 4))
     original = maxcut._Search._bound
-    lock = threading.Lock()
     calls = []
 
     def failing_bound(self, node):
-        with lock:
-            calls.append(node.node_id)
-            fail = len(calls) == 2
-        if fail:
+        calls.append(node.node_id)
+        if len(calls) == 2:
             raise RuntimeError("injected bound failure")
         return original(self, node)
 
     monkeypatch.setattr(maxcut._Search, "_bound", failing_bound)
-    outcome = {}
-
-    def run():
-        try:
-            outcome["result"] = solve_maxcut(red.instance, workers=workers)
-        except RuntimeError as exc:
-            outcome["error"] = exc
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=120)
-    assert not runner.is_alive()
-    assert "result" not in outcome
-    assert str(outcome["error"]) == "injected bound failure"
+    with pytest.raises(RuntimeError, match="^injected bound failure$"):
+        solve_maxcut(red.instance)
+    assert calls == [0, 1]
 
 
 def test_triangle_tightening_keeps_the_optimum(monkeypatch):

@@ -42,7 +42,6 @@ def _sample_report(total_ms=12.5):
         nodes=5,
         iterations=2,
         seed=0,
-        workers=1,
         preelim_ms=3.25,
         total_ms=total_ms,
         table=table,
@@ -93,6 +92,14 @@ def test_summary_csv_one_based_witness():
     lines = summary_csv(_sample_report()).splitlines()
     assert lines[0].startswith("method,n,m,status,h_num")
     assert '"1 2 3"' in lines[1]
+
+
+def test_workers_column_is_always_one():
+    # Schema 1 keeps the column; the search runs one loop, so the value
+    # written is the thread count that actually ran.
+    assert json.loads(canonical_json(_sample_report()))["workers"] == 1
+    header, row = summary_csv(_sample_report()).splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["workers"] == "1"
 
 
 def test_text_summary_shows_rational_value():

@@ -72,6 +72,13 @@ def test_cycle_six_report():
     assert len(text.splitlines()) == 4
 
 
+@pytest.mark.parametrize("solve", [split_and_bound, dinkelbach_solve])
+@pytest.mark.parametrize("workers", [0, 2])
+def test_only_one_worker_is_accepted(solve, workers):
+    with pytest.raises(ValueError, match="workers must be 1"):
+        solve(cycle(6), workers=workers)
+
+
 def test_reports_are_byte_stable():
     first = canonical_json(split_and_bound(cycle(6), seed=3))
     second = canonical_json(split_and_bound(cycle(6), seed=3))
