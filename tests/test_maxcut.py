@@ -450,24 +450,28 @@ def test_same_seed_same_search(monkeypatch):
     assert first.nodes == second.nodes
 
 
-def test_bound_failure_propagates(monkeypatch):
-    # A clean run on this instance explores about fifty nodes.  The second
-    # bound (the first child node) fails; the search must raise rather
-    # than report "optimal" with a subtree never explored.
+@pytest.mark.parametrize("failing_call", [2, 4])
+def test_worker_failure_propagates(monkeypatch, failing_call):
+    # A clean run on this instance explores about fifty nodes.  The bound of
+    # a child node (the second or the fourth bound computed) fails; the
+    # search loop must stop and re-raise rather than report "optimal" with
+    # a subtree never explored.
     red = dinkelbach_to_maxcut(cycle(16), Fraction(1, 4))
     original = maxcut._Search._bound
     calls = []
 
     def failing_bound(self, node):
         calls.append(node.node_id)
-        if len(calls) == 2:
+        if len(calls) == failing_call:
             raise RuntimeError("injected bound failure")
         return original(self, node)
 
     monkeypatch.setattr(maxcut._Search, "_bound", failing_bound)
     with pytest.raises(RuntimeError, match="^injected bound failure$"):
         solve_maxcut(red.instance)
-    assert calls == [0, 1]
+    assert len(calls) == failing_call
+    assert calls[:2] == [0, 1]
+    assert len(set(calls)) == failing_call
 
 
 def test_triangle_tightening_keeps_the_optimum(monkeypatch):
