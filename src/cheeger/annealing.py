@@ -29,8 +29,8 @@ ascending over the complement.  The polished subsets, and with them every
 downstream bound and report, depend on this order; any faster scan must
 pick the same pair.
 
-All randomness flows from ``random.Random`` seeded per (seed, k, restart),
-making every result reproducible bit for bit.
+All randomness flows from ``random.Random`` seeded per (seed, k), making
+every result reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -145,10 +145,8 @@ def _anneal_once(g: Graph, k: int, rng: random.Random) -> tuple[int, int]:
     return best_value, best_mask
 
 
-def anneal_bisection(
-    g: Graph, k: int, seed: int = 0, restarts: int = 1
-) -> tuple[int, VertexSubset]:
-    """Best cut over subsets of size k found by annealing with restarts.
+def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset]:
+    """Best cut over subsets of size k found by one annealing run.
 
     Parameters
     ----------
@@ -156,9 +154,7 @@ def anneal_bisection(
     k : int
         Subset cardinality, between 1 and n // 2.
     seed : int
-        Base seed; each (k, restart) pair derives its own stream.
-    restarts : int
-        Independent runs; the best result wins, first found on ties.
+        Base seed; each k derives its own stream from it.
 
     Returns
     -------
@@ -167,27 +163,17 @@ def anneal_bisection(
     """
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    best_value = None
-    best_mask = 0
-    for restart in range(restarts):
-        rng = random.Random(seed * 1_000_003 + k * 1009 + restart)
-        value, mask = _anneal_once(g, k, rng)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_mask = mask
-    return best_value, VertexSubset(g.n, best_mask)
+    rng = random.Random(seed * 1_000_003 + k * 1009)
+    value, mask = _anneal_once(g, k, rng)
+    return value, VertexSubset(g.n, mask)
 
 
-def best_expansion_witness(
-    g: Graph, seed: int = 0, restarts: int = 1
-) -> tuple[Fraction, VertexSubset]:
+def best_expansion_witness(g: Graph, seed: int = 0) -> tuple[Fraction, VertexSubset]:
     """Cheapest expansion ratio cut(S)/|S| seen across all cardinalities."""
     best = None
     witness = None
     for k in range(1, g.n // 2 + 1):
-        value, subset = anneal_bisection(g, k, seed=seed, restarts=restarts)
+        value, subset = anneal_bisection(g, k, seed=seed)
         ratio = Fraction(value, k)
         if best is None or ratio < best:
             best = ratio

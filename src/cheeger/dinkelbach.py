@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .annealing import best_expansion_witness
 from .graphs import Graph, VertexSubset, cut_value
-from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
+from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, require_budget, solve_maxcut
 from .report import SolveReport, TraceRow
 from .transforms import dinkelbach_to_maxcut, require_relaxation_fits, slack_weights
 
@@ -93,7 +93,9 @@ def evaluate_q(
     the iteration needs a true argmin, not just the sign.  The decoded
     witness is checked against the graph directly; a mismatch means the
     encoding and the solver disagree and is raised as a hard error.
+    A NaN or negative budget or seed raises ``ValueError`` up front.
     """
+    require_budget(node_limit, time_limit, seed)
     gamma = Fraction(gamma)
     started = time.monotonic()
     red = dinkelbach_to_maxcut(g, gamma)
@@ -138,14 +140,16 @@ def dinkelbach_solve(
     gamma is backed by a genuine cut and is a valid upper bound
     throughout.  Stops at Q(gamma) = 0.  ``workers`` is accepted for
     compatibility and must be 1.  Raises ``ValueError`` for any other
-    ``workers``, or when the encoding (anchor, graph and two slack
-    counters) exceeds ``sdp.DIMENSION_CAP``.
+    ``workers``, for a NaN or negative budget or seed, or when the
+    encoding (anchor, graph and two slack counters) exceeds
+    ``sdp.DIMENSION_CAP``.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}: the search runs in one loop")
+    require_budget(node_limit, time_limit, seed)
     require_relaxation_fits(g.n + 1 + 2 * len(slack_weights(g.n)))
     started = time.monotonic()
-    gamma, witness = best_expansion_witness(g, seed=seed, restarts=1)
+    gamma, witness = best_expansion_witness(g, seed=seed)
     preelim_ms = (time.monotonic() - started) * 1000.0
     rows = []
     nodes_total = 0

@@ -50,6 +50,20 @@ from .transforms import MaxCutInstance
 
 DEFAULT_NODE_LIMIT = 10**6
 DEFAULT_TIME_LIMIT = 3600.0
+
+
+def require_budget(node_limit: int = 0, time_limit: float = 0.0, seed: int = 0):
+    """Refuse a NaN or negative budget or seed before any work starts.
+
+    Every ``elapsed > time_limit`` check is False for NaN, and node
+    rounding seeds numpy, which rejects negative seeds mid-run.
+    """
+    for name, value in (("node_limit", node_limit), ("time_limit", time_limit),
+                        ("seed", seed)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
 # Exhaustive leaf enumeration beats one more round of SDP bounding up to
 # at least this order: an 18-vertex leaf enumerates in about 3 ms and a
 # 20-vertex one in about 10 ms, while a bounded node costs about 50 ms of
@@ -498,5 +512,8 @@ def solve_maxcut(
     trace : list, optional
         Collects one ``(node id, depth, bound, incumbent)`` row per
         processed node, in processing order.
+
+    A NaN or negative budget or seed raises ``ValueError`` up front.
     """
+    require_budget(node_limit, time_limit, seed)
     return _Search(instance, initial_lb, node_limit, time_limit, seed, trace).run()

@@ -8,12 +8,13 @@ subset lattice:
     the ratio (cheap relaxation) and a heuristic upper bound (annealing).
     Any k whose lower bound reaches the best upper bound anywhere cannot
     host the optimum and is eliminated before exact work starts.
-2.  Survivors are re-annealed harder, re-eliminated, and then solved
-    exactly in ascending order of their upper bounds.  Each exact solve
-    runs the branch-and-bound engine on the penalized bisection instance
-    with an injected threshold tied to the best ratio so far, so a
-    subproblem that cannot improve the answer dies at its root node.
-    Every improvement tightens the threshold for the remaining k.
+2.  Survivors, each re-checked against the best ratio, are solved
+    exactly in ascending order of their annealed upper bounds.  Each
+    exact solve runs the branch-and-bound engine on the penalized
+    bisection instance with an injected threshold tied to the best
+    ratio so far, so a subproblem that cannot improve the answer dies
+    at its root node.  Every improvement tightens the threshold for
+    the remaining k.
 
 A verification mode reuses the loop with the candidate bound installed
 as the starting threshold: the candidate is a valid lower bound on h(G)
@@ -33,16 +34,13 @@ from fractions import Fraction
 from .annealing import anneal_bisection
 from .bounds import cheap_bisection_bound, spectral_bound
 from .graphs import Graph, VertexSubset, cut_value
-from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
+from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, require_budget, solve_maxcut
 from .report import BoundRow, SolveReport
 from .sdp import SdpError
 from .transforms import bisection_to_maxcut, require_relaxation_fits
 
 log = logging.getLogger(__name__)
 
-# Annealing effort: light during pre-elimination, heavier for survivors.
-PRE_RESTARTS = 1
-EXACT_PHASE_RESTARTS = 30
 # Safety slack when rationalizing the fallback eigenvalue bound.
 SPECTRAL_SLACK = 1e-6
 
@@ -150,8 +148,9 @@ def pre_eliminate(
     seconds have passed (k = 1 is always bounded in full, so an
     incumbent exists), each remaining k gets the rationalized eigenvalue
     bound and the cut of its first k vertices instead, and the table is
-    marked ``cut_short``.
+    marked ``cut_short``.  A bad ``time_limit`` or ``seed`` raises ``ValueError``.
     """
+    require_budget(time_limit=time_limit, seed=seed)
     started = time.monotonic()
     table = BoundsTable(n=g.n)
     if initial_ustar is not None:
@@ -166,7 +165,7 @@ def pre_eliminate(
             cut = cut_value(g, subset)
         else:
             table.lower[k] = cheap_lower_bound(g, k)
-            cut, subset = anneal_bisection(g, k, seed=seed, restarts=PRE_RESTARTS)
+            cut, subset = anneal_bisection(g, k, seed=seed)
         table.upper_cut[k] = cut
         table.witness[k] = subset
         table.offer(Fraction(cut, k), subset)
@@ -245,26 +244,14 @@ def _run_exact_phase(
 ) -> _ExactPhase:
     """Solve surviving cardinalities against the moving threshold.
 
-    Survivors are re-annealed first (their upper bounds feed both the
-    processing order and the penalty weights), then each one is solved
-    with the injected threshold ``offset - ceil(ustar * k)``.  With
-    ``stop_on_improvement`` the phase returns at the first genuine cut
-    below the starting threshold, which is the verification mode.  The
-    time limit is checked before every re-anneal and every exact solve.
+    Survivors are taken in ascending order of their pre-elimination
+    upper bounds, which also set the penalty weights.  Each one is
+    solved with the injected threshold ``offset - ceil(ustar * k)``.
+    With ``stop_on_improvement`` the phase returns at the first genuine
+    cut below the starting threshold, which is the verification mode.
+    The node and time budgets are checked before every exact solve.
     """
     phase = _ExactPhase()
-    for k in table.survivors():
-        if time.monotonic() - started >= time_limit:
-            phase.hit_limit = True
-            return phase
-        cut, subset = anneal_bisection(g, k, seed=seed, restarts=EXACT_PHASE_RESTARTS)
-        if cut < table.upper_cut[k]:
-            table.upper_cut[k] = cut
-            table.witness[k] = subset
-        improved = table.offer(Fraction(cut, k), subset)
-        if improved and stop_on_improvement:
-            phase.violation = subset
-            return phase
     for k in _exact_order(table):
         if table.lower[k] >= table.ustar:
             table.status[k] = "eliminated-update"
@@ -305,15 +292,16 @@ def solve_cardinality(
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> BoundRow:
-    """One cardinality through the exact phase's annealing and exact step.
+    """One cardinality through pre-elimination's annealing and the exact step.
 
-    The size-k bisection is annealed with the exact phase's effort and
+    The size-k bisection is annealed once, as in pre-elimination, and
     then solved to optimality with no threshold; ``seed`` drives both.
     When the budget runs out first the row is "pending" and brackets the
     optimum between the cheap lower bound and the annealed cut.
     """
+    require_budget(node_limit, time_limit, seed)
     require_relaxation_fits(g.n + 1)
-    cut, subset = anneal_bisection(g, k, seed=seed, restarts=EXACT_PHASE_RESTARTS)
+    cut, subset = anneal_bisection(g, k, seed=seed)
     _, exact_cut, exact_subset = _exact_bisection(
         g, k, cut, None, seed, node_limit, time_limit,
     )
@@ -349,11 +337,13 @@ def split_and_bound(
     Raises
     ------
     ValueError
-        If ``workers`` is not 1, or if the relaxations, of order n + 1,
-        exceed ``sdp.DIMENSION_CAP``.
+        If ``workers`` is not 1, if a budget or the seed is NaN or
+        negative, or if the relaxations, of order n + 1, exceed
+        ``sdp.DIMENSION_CAP``.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}: the search runs in one loop")
+    require_budget(node_limit, time_limit, seed)
     require_relaxation_fits(g.n + 1)
     started = time.monotonic()
     table = pre_eliminate(g, seed=seed, time_limit=time_limit)
@@ -416,9 +406,10 @@ def verify_lower_bound(
         If the node or time budget runs out before the question is
         settled.
     ValueError
-        On a negative ``upsilon``, or if the relaxations, of order n + 1,
-        exceed ``sdp.DIMENSION_CAP``.
+        On a negative ``upsilon``, budget or seed, a NaN budget, or if the
+        relaxations, of order n + 1, exceed ``sdp.DIMENSION_CAP``.
     """
+    require_budget(node_limit, time_limit, seed)
     upsilon = Fraction(upsilon)
     if upsilon < 0:
         raise ValueError("a lower bound candidate must be nonnegative")

@@ -57,23 +57,13 @@ def test_expansion_witness_on_even_cycle():
 
 def test_deterministic_given_seed():
     g = gnp(12, 0.3, seed=5)
-    assert anneal_bisection(g, 4, seed=7, restarts=2) == anneal_bisection(
-        g, 4, seed=7, restarts=2
-    )
+    assert anneal_bisection(g, 4, seed=7) == anneal_bisection(g, 4, seed=7)
     a, _ = anneal_bisection(g, 4, seed=7)
     b, _ = anneal_bisection(g, 4, seed=8)
     # Different seeds may or may not differ in value; the call must not blow
     # up and both must stay feasible upper bounds.
     exact, _ = brute_force_bisection(g, 4)
     assert min(a, b) >= exact
-
-
-def test_more_restarts_never_worse():
-    g = gnp(14, 0.25, seed=9)
-    for k in (2, 5, 7):
-        one, _ = anneal_bisection(g, k, seed=3, restarts=1)
-        many, _ = anneal_bisection(g, k, seed=3, restarts=10)
-        assert many <= one
 
 
 def test_local_search_reaches_fixed_point():
@@ -91,8 +81,6 @@ def test_argument_validation():
         anneal_bisection(g, 0, seed=0)
     with pytest.raises(ValueError):
         anneal_bisection(g, 4, seed=0)
-    with pytest.raises(ValueError):
-        anneal_bisection(g, 2, seed=0, restarts=0)
 
 
 # -- full-rescan reference -------------------------------------------------
@@ -152,21 +140,23 @@ def test_local_search_matches_full_rescan():
                 assert (got_value, got.mask) == (want_value, want.mask)
 
 
-# (graph, k, seed, restarts, value, mask), recorded with the full-rescan
-# search; a change here means the seed-to-result mapping moved.
+# (graph, k, seed, value, mask), recorded with the full-rescan search; a
+# change here means the seed-to-result mapping moved.  Each id keeps the
+# restart count its row was first pinned with (the best of several runs,
+# which the one run reproduces), so the test names stay stable.
 _PINNED_ANNEALS = [
-    (cycle(18), 9, 0, 3, 2, 0x3E00F),
-    (hypercube(4), 8, 2, 1, 8, 0x5555),
-    (gnp(16, 0.3, 1), 5, 3, 2, 6, 0x3124),
-    (gnp(20, 0.3, 9), 7, 1, 1, 18, 0xA5422),
-    (gnp(20, 0.3, 9), 10, 4, 2, 20, 0xAF4A2),
-    (gnp(14, 0.5, 7), 3, 11, 1, 10, 0xE0),
+    pytest.param(cycle(18), 9, 0, 2, 0x3E00F, id="g0-9-0-3-2-253967"),
+    pytest.param(hypercube(4), 8, 2, 8, 0x5555, id="g1-8-2-1-8-21845"),
+    pytest.param(gnp(16, 0.3, 1), 5, 3, 6, 0x3124, id="g2-5-3-2-6-12580"),
+    pytest.param(gnp(20, 0.3, 9), 7, 1, 18, 0xA5422, id="g3-7-1-1-18-676898"),
+    pytest.param(gnp(20, 0.3, 9), 10, 4, 20, 0xAF4A2, id="g4-10-4-2-20-717986"),
+    pytest.param(gnp(14, 0.5, 7), 3, 11, 10, 0xE0, id="g5-3-11-1-10-224"),
 ]
 
 
-@pytest.mark.parametrize("g, k, seed, restarts, value, mask", _PINNED_ANNEALS)
-def test_anneal_results_are_pinned(g, k, seed, restarts, value, mask):
-    got_value, got = anneal_bisection(g, k, seed=seed, restarts=restarts)
+@pytest.mark.parametrize("g, k, seed, value, mask", _PINNED_ANNEALS)
+def test_anneal_results_are_pinned(g, k, seed, value, mask):
+    got_value, got = anneal_bisection(g, k, seed=seed)
     assert (got_value, got.mask) == (value, mask)
 
 

@@ -17,7 +17,7 @@ from cheeger.graphs import (
 )
 
 
-def _crude_start(g, seed=0, restarts=1):
+def _crude_start(g, seed=0):
     s = VertexSubset.from_indices(g.n, [0])
     return Fraction(cut_value(g, s), 1), s
 

@@ -1,12 +1,13 @@
 """Tests for the per-cardinality split and bound solver."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cheeger import dinkelbach, split_bound
-from cheeger.dinkelbach import dinkelbach_solve
+from cheeger import dinkelbach, maxcut, split_bound
+from cheeger.dinkelbach import dinkelbach_solve, evaluate_q
 from cheeger.graphs import (
     VertexSubset,
     brute_force_bisection,
@@ -18,6 +19,7 @@ from cheeger.graphs import (
     gnp,
     hypercube,
 )
+from cheeger.maxcut import solve_maxcut
 from cheeger.report import bounds_csv, canonical_json
 from cheeger.sdp import SdpError
 from cheeger.split_bound import (
@@ -27,6 +29,7 @@ from cheeger.split_bound import (
     split_and_bound,
     verify_lower_bound,
 )
+from cheeger.transforms import bisection_to_maxcut
 
 LEGAL_STATUSES = {
     "eliminated-pre",
@@ -37,7 +40,7 @@ LEGAL_STATUSES = {
 }
 
 
-def _crude_heuristic(g, k, seed=0, restarts=1):
+def _crude_heuristic(g, k, seed=0):
     """Deliberately weak stand-in: always proposes the first k vertices."""
     s = VertexSubset.from_indices(g.n, range(k))
     return cut_value(g, s), s
@@ -179,10 +182,12 @@ def test_verify_raises_when_budget_runs_out():
 
 
 def _counting_anneal(monkeypatch):
+    """Record k of every annealing call; (g, k) stay positional."""
     calls = []
     original = split_bound.anneal_bisection
 
     def counting(*args, **kwargs):
+        assert len(args) == 2, args
         calls.append(args[1])
         return original(*args, **kwargs)
 
@@ -220,8 +225,21 @@ def test_time_limit_stops_annealing(monkeypatch):
     assert ok is False and expansion(g, cert) < 1
 
 
+@pytest.mark.parametrize("g", [cycle(12), gnp(13, 0.4, seed=1), cycle(18)],
+                         ids=["C12", "G13", "C18"])
+def test_annealing_runs_once_per_cardinality(monkeypatch, g):
+    # Survivors go straight to the exact step with the cut pre-elimination
+    # annealed for them; no k is annealed twice.
+    calls = _counting_anneal(monkeypatch)
+    assert split_and_bound(g).status == "solved"
+    assert calls == list(range(1, g.n // 2 + 1))
+    calls.clear()
+    assert solve_cardinality(g, 3).status == "solved"
+    assert calls == [3]
+
+
 class _Annealed(Exception):
-    """Raised by annealing stubs: the run got past its size check."""
+    """Raised by stubs of the first work an entry point does."""
 
 
 def _refuse_annealing(monkeypatch):
@@ -231,6 +249,50 @@ def _refuse_annealing(monkeypatch):
     monkeypatch.setattr(split_bound, "anneal_bisection", refuse)
     monkeypatch.setattr(split_bound, "cheap_lower_bound", refuse)
     monkeypatch.setattr(dinkelbach, "best_expansion_witness", refuse)
+    monkeypatch.setattr(dinkelbach, "dinkelbach_to_maxcut", refuse)
+    monkeypatch.setattr(maxcut, "_Search", refuse)
+
+
+_ENTRY_POINTS = {
+    "solve_maxcut": lambda **kw: solve_maxcut(
+        bisection_to_maxcut(cycle(20), 5, 4).instance, **kw),
+    "split_and_bound": lambda **kw: split_and_bound(gnp(13, 0.4, seed=1), **kw),
+    "verify_lower_bound": lambda **kw: verify_lower_bound(cycle(30), Fraction(1, 8), **kw),
+    "solve_cardinality": lambda **kw: solve_cardinality(cycle(12), 3, **kw),
+    "pre_eliminate": lambda **kw: pre_eliminate(cycle(12), **kw),
+    "dinkelbach_solve": lambda **kw: dinkelbach_solve(gnp(13, 0.4, seed=1), **kw),
+    "evaluate_q": lambda **kw: evaluate_q(cycle(12), Fraction(1, 3), **kw),
+}
+_BAD_BUDGETS = {
+    "nan-time": {"time_limit": math.nan},
+    "negative-time": {"time_limit": -1.0},
+    "negative-nodes": {"node_limit": -1},
+    "negative-seed": {"seed": -1},
+}
+
+
+@pytest.mark.parametrize("entry, budget", [
+    (entry, budget)
+    for entry in _ENTRY_POINTS
+    for budget in _BAD_BUDGETS
+    if not (entry == "pre_eliminate" and budget == "negative-nodes")
+])
+def test_bad_budgets_are_refused_up_front(monkeypatch, entry, budget):
+    # A NaN limit fails every elapsed > limit check, and a negative seed
+    # only fails once node rounding seeds numpy: both are refused first.
+    _refuse_annealing(monkeypatch)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        _ENTRY_POINTS[entry](**_BAD_BUDGETS[budget])
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_edge_budgets_reach_the_work(monkeypatch, entry):
+    _refuse_annealing(monkeypatch)
+    budget = {"time_limit": math.inf, "seed": 0}
+    if entry != "pre_eliminate":
+        budget["node_limit"] = 0
+    with pytest.raises(_Annealed):
+        _ENTRY_POINTS[entry](**budget)
 
 
 def test_graphs_beyond_the_relaxation_cap_are_refused_up_front(monkeypatch):
