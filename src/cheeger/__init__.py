@@ -35,7 +35,7 @@ from cheeger.graphs import (
     load_graph,
     path,
 )
-from cheeger.maxcut import MaxCutResult, enumerate_maxcut, solve_maxcut
+from cheeger.maxcut import Budget, MaxCutResult, enumerate_maxcut, solve_maxcut
 from cheeger.report import (
     BoundRow,
     SolveReport,
@@ -70,6 +70,7 @@ __all__ = [
     "ENUMERATION_GUARD",
     "BoundRow",
     "BoundsTable",
+    "Budget",
     "Graph",
     "GraphFormatError",
     "LimitExceeded",

@@ -102,49 +102,6 @@ def _shift_gains(gain: list[int], neighbours: int, step: int):
         neighbours ^= low
 
 
-def _anneal_once(g: Graph, k: int, rng: random.Random) -> tuple[int, int]:
-    """One annealing run; returns (best value, best mask)."""
-    n = g.n
-    inside = rng.sample(range(n), k)
-    outside = [v for v in range(n) if v not in set(inside)]
-    mask = 0
-    for u in inside:
-        mask |= 1 << u
-    value = cut_value(g, VertexSubset(n, mask))
-
-    best_value, best_subset = local_search(g, VertexSubset(n, mask))
-    best_mask = best_subset.mask
-
-    t0 = (k * k / math.comb(n, 2)) * 2.0 * g.m
-    t0 = max(t0, 1e-9)
-    floor = TEMPERATURE_FLOOR_FACTOR * t0
-    temp = t0
-    trials = float(n)
-    idle_cycles = 0
-
-    while idle_cycles < PATIENCE:
-        improved = False
-        for _ in range(int(round(trials))):
-            iu = rng.randrange(k)
-            iv = rng.randrange(n - k)
-            u = inside[iu]
-            v = outside[iv]
-            delta = _swap_delta(g, mask, u, v)
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                mask = mask ^ (1 << u) | (1 << v)
-                value += delta
-                inside[iu], outside[iv] = v, u
-                polished, polished_subset = local_search(g, VertexSubset(n, mask))
-                if polished < best_value:
-                    best_value = polished
-                    best_mask = polished_subset.mask
-                    improved = True
-        idle_cycles = 0 if improved else idle_cycles + 1
-        temp = max(temp * COOLING, floor)
-        trials *= TRIAL_GROWTH
-    return best_value, best_mask
-
-
 def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset]:
     """Best cut over subsets of size k found by one annealing run.
 
@@ -164,8 +121,42 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
     rng = random.Random(seed * 1_000_003 + k * 1009)
-    value, mask = _anneal_once(g, k, rng)
-    return value, VertexSubset(g.n, mask)
+    n = g.n
+    inside = rng.sample(range(n), k)
+    outside = [v for v in range(n) if v not in set(inside)]
+    mask = 0
+    for u in inside:
+        mask |= 1 << u
+
+    best_value, best_subset = local_search(g, VertexSubset(n, mask))
+
+    t0 = (k * k / math.comb(n, 2)) * 2.0 * g.m
+    t0 = max(t0, 1e-9)
+    floor = TEMPERATURE_FLOOR_FACTOR * t0
+    temp = t0
+    trials = float(n)
+    idle_cycles = 0
+
+    while idle_cycles < PATIENCE:
+        improved = False
+        for _ in range(int(round(trials))):
+            iu = rng.randrange(k)
+            iv = rng.randrange(n - k)
+            u = inside[iu]
+            v = outside[iv]
+            delta = _swap_delta(g, mask, u, v)
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                mask = mask ^ (1 << u) | (1 << v)
+                inside[iu], outside[iv] = v, u
+                polished, polished_subset = local_search(g, VertexSubset(n, mask))
+                if polished < best_value:
+                    best_value = polished
+                    best_subset = polished_subset
+                    improved = True
+        idle_cycles = 0 if improved else idle_cycles + 1
+        temp = max(temp * COOLING, floor)
+        trials *= TRIAL_GROWTH
+    return best_value, best_subset
 
 
 def best_expansion_witness(g: Graph, seed: int = 0) -> tuple[Fraction, VertexSubset]:

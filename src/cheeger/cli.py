@@ -41,7 +41,7 @@ from cheeger.graphs import (
     load_graph,
     sniff_format,
 )
-from cheeger.maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, solve_maxcut
+from cheeger.maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, Budget, solve_maxcut
 from cheeger.report import (
     SolveReport,
     bounds_csv,
@@ -232,7 +232,7 @@ def _bounds_text(rows) -> str:
 def _cmd_bounds(args) -> int:
     g = _load_graph_file(args.graph)
     if args.k is None:
-        table = pre_eliminate(g, seed=args.seed, time_limit=args.time_limit)
+        table = pre_eliminate(g, seed=args.seed, budget=Budget(time_limit=args.time_limit))
         rows, limited = table.rows(), table.cut_short
     else:
         if not 1 <= args.k <= g.n // 2:
@@ -305,7 +305,7 @@ def _cmd_maxcut(args) -> int:
     inst = load_instance(_read_text(args.instance))
     trace_rows: list | None = [] if args.trace else None
     res = solve_maxcut(
-        inst, node_limit=args.node_limit, time_limit=args.time_limit,
+        inst, budget=Budget(args.node_limit, args.time_limit),
         seed=args.seed, trace=trace_rows,
     )
     if args.trace:

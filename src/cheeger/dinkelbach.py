@@ -12,6 +12,7 @@ denominator forces Q = 0, so the loop ends after at most floor(n/2)
 ratio updates.
 
 All gamma arithmetic is exact rational; all objectives are integers.
+Every evaluation of a run charges one shared ``maxcut.Budget``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from fractions import Fraction
 
 from .annealing import best_expansion_witness
 from .graphs import Graph, VertexSubset, cut_value
-from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, require_budget, solve_maxcut
+from .maxcut import (
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_TIME_LIMIT,
+    Budget,
+    require_nonnegative,
+    solve_maxcut,
+)
 from .report import SolveReport, TraceRow
 from .transforms import dinkelbach_to_maxcut, require_relaxation_fits, slack_weights
 
@@ -84,8 +91,7 @@ def evaluate_q(
     g: Graph,
     gamma: Fraction,
     seed: int = 0,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit: float = DEFAULT_TIME_LIMIT,
+    budget: Budget | None = None,
 ) -> QEvaluation:
     """Exact Q(gamma) with a re-validated minimizer.
 
@@ -93,9 +99,10 @@ def evaluate_q(
     the iteration needs a true argmin, not just the sign.  The decoded
     witness is checked against the graph directly; a mismatch means the
     encoding and the solver disagree and is raised as a hard error.
-    A NaN or negative budget or seed raises ``ValueError`` up front.
+    The solve charges ``budget`` (default ``Budget()``).  A negative
+    seed raises ``ValueError`` up front.
     """
-    require_budget(node_limit, time_limit, seed)
+    require_nonnegative(seed=seed)
     gamma = Fraction(gamma)
     started = time.monotonic()
     red = dinkelbach_to_maxcut(g, gamma)
@@ -106,12 +113,7 @@ def evaluate_q(
             "node relaxations round the Laplacian",
             gamma.numerator, gamma.denominator, total.bit_length(),
         )
-    res = solve_maxcut(
-        red.instance,
-        node_limit=node_limit,
-        time_limit=time_limit,
-        seed=seed,
-    )
+    res = solve_maxcut(red.instance, budget=budget, seed=seed)
     ms = (time.monotonic() - started) * 1000.0
     if res.status != "optimal":
         return QEvaluation(0, None, res.nodes, ms, res.status)
@@ -138,21 +140,21 @@ def dinkelbach_solve(
     Starts from the annealing heuristic's best ratio; every later
     candidate is the exact ratio of the previous minimizer, so each
     gamma is backed by a genuine cut and is a valid upper bound
-    throughout.  Stops at Q(gamma) = 0.  ``workers`` is accepted for
-    compatibility and must be 1.  Raises ``ValueError`` for any other
-    ``workers``, for a NaN or negative budget or seed, or when the
-    encoding (anchor, graph and two slack counters) exceeds
+    throughout.  Stops at Q(gamma) = 0, or at "limit" once the one
+    ``Budget`` that every evaluation charges runs out.  ``workers`` is
+    accepted for compatibility and must be 1.  Raises ``ValueError`` for
+    any other ``workers``, for a NaN or negative budget or seed, or when
+    the encoding (anchor, graph and two slack counters) exceeds
     ``sdp.DIMENSION_CAP``.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}: the search runs in one loop")
-    require_budget(node_limit, time_limit, seed)
+    budget = Budget(node_limit, time_limit)
+    require_nonnegative(seed=seed)
     require_relaxation_fits(g.n + 1 + 2 * len(slack_weights(g.n)))
-    started = time.monotonic()
     gamma, witness = best_expansion_witness(g, seed=seed)
-    preelim_ms = (time.monotonic() - started) * 1000.0
+    preelim_ms = budget.elapsed() * 1000.0
     rows = []
-    nodes_total = 0
     root_solved = 0
     status = "solved"
     prev_gamma = None
@@ -164,22 +166,13 @@ def dinkelbach_solve(
                 f"ratio search at evaluation {evaluation} on n={g.n}; "
                 "the termination argument is violated"
             )
-        budget_nodes = node_limit - nodes_total
-        budget_time = time_limit - (time.monotonic() - started)
-        if budget_nodes <= 0 or budget_time <= 0:
+        if budget.exhausted():
             status = "limit"
             break
-        ev = evaluate_q(
-            g, gamma,
-            seed=seed * 977 + evaluation,
-            node_limit=budget_nodes,
-            time_limit=budget_time,
-        )
+        ev = evaluate_q(g, gamma, seed=seed * 977 + evaluation, budget=budget)
         if ev.status != "optimal":
-            nodes_total += ev.nodes
             status = "limit"
             break
-        nodes_total += ev.nodes
         if ev.nodes == 1:
             root_solved += 1
         rows.append(
@@ -218,10 +211,10 @@ def dinkelbach_solve(
         witness=witness.indices(),
         interesting=0,
         root_solved=root_solved,
-        nodes=nodes_total,
+        nodes=budget.nodes,
         iterations=len(rows) - 1 if solved else len(rows),
         seed=seed,
         preelim_ms=preelim_ms,
-        total_ms=(time.monotonic() - started) * 1000.0,
+        total_ms=budget.elapsed() * 1000.0,
         trace=tuple(rows),
     )

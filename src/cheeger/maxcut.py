@@ -25,7 +25,9 @@ The search is one best-first loop over a heap of open nodes: pop the
 node with the largest bound and branch it unless its floored bound no
 longer beats the incumbent.  Nothing runs concurrently, so with a fixed
 seed the node order and the result are reproducible, and a failing bound
-raises out of ``solve_maxcut`` instead of losing its subtree.
+raises out of ``solve_maxcut`` instead of losing its subtree.  The
+limits live in one ``Budget`` per run, which owns the run's clock and
+the node count that each of the run's searches charges.
 
 An injected ``initial_lb`` turns the search into a threshold test: the
 incumbent starts there without a witness, and if nothing beats it the
@@ -52,16 +54,42 @@ DEFAULT_NODE_LIMIT = 10**6
 DEFAULT_TIME_LIMIT = 3600.0
 
 
-def require_budget(node_limit: int = 0, time_limit: float = 0.0, seed: int = 0):
-    """Refuse a NaN or negative budget or seed before any work starts.
+def require_nonnegative(**values):
+    """Refuse a NaN or negative limit or seed before any work starts.
 
-    Every ``elapsed > time_limit`` check is False for NaN, and node
+    Every ``elapsed >= time_limit`` check is False for NaN, and node
     rounding seeds numpy, which rejects negative seeds mid-run.
     """
-    for name, value in (("node_limit", node_limit), ("time_limit", time_limit),
-                        ("seed", seed)):
+    for name, value in values.items():
         if not value >= 0:
             raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
+class Budget:
+    """The node and time limits of one run, shared by all of its searches.
+
+    The clock starts when the budget is built, and every search charges
+    each node it admits to ``nodes``, so a run made of many exact solves
+    stops at one total.  A NaN or negative limit raises ``ValueError``.
+    """
+
+    def __init__(self, node_limit: int = DEFAULT_NODE_LIMIT,
+                 time_limit: float = DEFAULT_TIME_LIMIT):
+        require_nonnegative(node_limit=node_limit, time_limit=time_limit)
+        self.node_limit = node_limit
+        self.time_limit = time_limit
+        self.nodes = 0
+        self._started = time.monotonic()
+
+    def elapsed(self) -> float:
+        """Seconds since the budget was built."""
+        return time.monotonic() - self._started
+
+    def out_of_time(self) -> bool:
+        return self.elapsed() >= self.time_limit
+
+    def exhausted(self) -> bool:
+        return self.nodes >= self.node_limit or self.out_of_time()
 
 
 # Exhaustive leaf enumeration beats one more round of SDP bounding up to
@@ -101,7 +129,6 @@ class MaxCutResult:
     status: str  # optimal | bound-stop | limit
     nodes: int
     best_bound: float
-    seconds: float
 
 
 class _Node:
@@ -292,17 +319,14 @@ class _Search:
         self,
         instance: MaxCutInstance,
         initial_lb,
-        node_limit,
-        time_limit,
+        budget: Budget,
         seed,
         trace,
     ):
-        self.node_limit = node_limit
-        self.time_limit = time_limit
+        self.budget = budget
         self.leaf_order = LEAF_SIZE
         self.seed = seed
         self.trace = trace
-        self.started = time.monotonic()
 
         self.heap = []
         self.nodes = 0
@@ -319,12 +343,6 @@ class _Search:
         weights = [list(row) for row in instance.weights]
         groups = tuple(((i, 1),) for i in range(instance.n))
         self.root = _Node(weights, 0, groups, 0, next(self.node_ids))
-
-    def _elapsed(self):
-        return time.monotonic() - self.started
-
-    def _limits_exceeded(self):
-        return self.nodes >= self.node_limit or self._elapsed() > self.time_limit
 
     # -- incumbent handling ------------------------------------------------
 
@@ -385,7 +403,8 @@ class _Search:
         stalls = 0
         for _ in range(TRIANGLE_STEPS):
             # Every bound so far is certified, so stopping early stays sound.
-            if self._elapsed() > self.time_limit:
+            # Only time stops it: this node is already charged to the budget.
+            if self.budget.out_of_time():
                 break
             objective = quarter.copy()
             for g_val, (i, j, k, a, b, c) in zip(gam, triangles):
@@ -430,6 +449,7 @@ class _Search:
     def _admit(self, node: _Node, cap: float = math.inf):
         """Bound or enumerate a freshly created node, pushing if still open."""
         self.nodes += 1
+        self.budget.nodes += 1
         if node.size <= self.leaf_order:
             value, mask = enumerate_maxcut(node.weights)
             signs = [1 if not mask >> i & 1 else -1 for i in range(node.size)]
@@ -463,7 +483,7 @@ class _Search:
     def run(self) -> MaxCutResult:
         self._admit(self.root)
         while self.heap:
-            if self._limits_exceeded():
+            if self.budget.exhausted():
                 self.hit_limit = True
                 break
             _, _, _, node = heapq.heappop(self.heap)
@@ -483,15 +503,13 @@ class _Search:
             status=status,
             nodes=self.nodes,
             best_bound=best_bound,
-            seconds=self._elapsed(),
         )
 
 
 def solve_maxcut(
     instance: MaxCutInstance,
     initial_lb: int | None = None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit: float = DEFAULT_TIME_LIMIT,
+    budget: Budget | None = None,
     seed: int = 0,
     trace: list | None = None,
 ) -> MaxCutResult:
@@ -505,15 +523,17 @@ def solve_maxcut(
         Start the incumbent here without a witness.  If the search ends
         without beating it, status is "bound-stop" and the true optimum
         is certified to be at most this value.
-    node_limit, time_limit : resource caps; exceeding either yields
-        status "limit" with the incumbent and the best open bound.
+    budget : Budget, optional
+        Limits shared with the run's other searches (default ``Budget()``).
+        Once it is exhausted the status is "limit", with the incumbent and
+        the best open bound.  ``nodes`` counts this search's nodes only.
     seed : int
         Drives hyperplane rounding; fixed seed makes runs reproducible.
     trace : list, optional
         Collects one ``(node id, depth, bound, incumbent)`` row per
         processed node, in processing order.
 
-    A NaN or negative budget or seed raises ``ValueError`` up front.
+    A negative seed raises ``ValueError`` up front.
     """
-    require_budget(node_limit, time_limit, seed)
-    return _Search(instance, initial_lb, node_limit, time_limit, seed, trace).run()
+    require_nonnegative(seed=seed)
+    return _Search(instance, initial_lb, budget or Budget(), seed, trace).run()

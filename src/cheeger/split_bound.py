@@ -20,21 +20,27 @@ A verification mode reuses the loop with the candidate bound installed
 as the starting threshold: the candidate is a valid lower bound on h(G)
 exactly when the run finishes without ever finding a better cut.
 ``solve_cardinality`` runs the same exact step on one cardinality with
-no threshold.
+no threshold.  Each run builds one ``maxcut.Budget``: pre-elimination
+reads its clock, and every exact solve charges its nodes to it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .annealing import anneal_bisection
 from .bounds import cheap_bisection_bound, spectral_bound
 from .graphs import Graph, VertexSubset, cut_value
-from .maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, require_budget, solve_maxcut
+from .maxcut import (
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_TIME_LIMIT,
+    Budget,
+    require_nonnegative,
+    solve_maxcut,
+)
 from .report import BoundRow, SolveReport
 from .sdp import SdpError
 from .transforms import bisection_to_maxcut, require_relaxation_fits
@@ -133,7 +139,7 @@ def pre_eliminate(
     g: Graph,
     seed: int = 0,
     initial_ustar: Fraction | None = None,
-    time_limit: float = DEFAULT_TIME_LIMIT,
+    budget: Budget | None = None,
 ) -> BoundsTable:
     """Bound every cardinality and drop those that cannot host the optimum.
 
@@ -144,19 +150,20 @@ def pre_eliminate(
     is given it acts as the starting threshold and annealing results
     only tighten it through genuine cuts.
 
-    Cardinalities are taken in increasing order.  Once ``time_limit``
-    seconds have passed (k = 1 is always bounded in full, so an
-    incumbent exists), each remaining k gets the rationalized eigenvalue
-    bound and the cut of its first k vertices instead, and the table is
-    marked ``cut_short``.  A bad ``time_limit`` or ``seed`` raises ``ValueError``.
+    Cardinalities are taken in increasing order.  Once the time limit of
+    ``budget`` (default ``Budget()``) has passed (k = 1 is always bounded
+    in full, so an incumbent exists), each remaining k gets the
+    rationalized eigenvalue bound and the cut of its first k vertices
+    instead, and the table is marked ``cut_short``.  No search runs here,
+    so the node limit does not apply.  A negative ``seed`` raises ``ValueError``.
     """
-    require_budget(time_limit=time_limit, seed=seed)
-    started = time.monotonic()
+    require_nonnegative(seed=seed)
+    budget = budget or Budget()
     table = BoundsTable(n=g.n)
     if initial_ustar is not None:
         table.ustar = initial_ustar
     for k in range(1, g.n // 2 + 1):
-        if not table.cut_short and k > 1 and time.monotonic() - started >= time_limit:
+        if not table.cut_short and k > 1 and budget.out_of_time():
             table.cut_short = True
             half_lambda = spectral_bound(g)
         if table.cut_short:
@@ -193,8 +200,7 @@ def _exact_bisection(
     upper_cut: int,
     threshold: int | None,
     seed: int,
-    node_limit: int,
-    time_limit: float,
+    budget: Budget,
 ):
     """Solve the size-k bisection exactly through its max-cut form.
 
@@ -208,8 +214,7 @@ def _exact_bisection(
     res = solve_maxcut(
         red.instance,
         initial_lb=None if threshold is None else red.offset - threshold,
-        node_limit=node_limit,
-        time_limit=time_limit,
+        budget=budget,
         seed=seed,
     )
     if res.status != "optimal":
@@ -226,7 +231,6 @@ def _exact_bisection(
 
 @dataclass
 class _ExactPhase:
-    nodes: int = 0
     attempts: int = 0
     root_solved: int = 0
     hit_limit: bool = False
@@ -237,9 +241,7 @@ def _run_exact_phase(
     g: Graph,
     table: BoundsTable,
     seed: int,
-    node_limit: int,
-    time_limit: float,
-    started: float,
+    budget: Budget,
     stop_on_improvement: bool,
 ) -> _ExactPhase:
     """Solve surviving cardinalities against the moving threshold.
@@ -249,24 +251,21 @@ def _run_exact_phase(
     solved with the injected threshold ``offset - ceil(ustar * k)``.
     With ``stop_on_improvement`` the phase returns at the first genuine
     cut below the starting threshold, which is the verification mode.
-    The node and time budgets are checked before every exact solve.
+    The shared budget is checked before every exact solve.
     """
     phase = _ExactPhase()
     for k in _exact_order(table):
         if table.lower[k] >= table.ustar:
             table.status[k] = "eliminated-update"
             continue
-        budget_nodes = node_limit - phase.nodes
-        budget_time = time_limit - (time.monotonic() - started)
-        if budget_nodes <= 0 or budget_time <= 0:
+        if budget.exhausted():
             phase.hit_limit = True
             return phase
         res, exact_cut, subset = _exact_bisection(
             g, k, table.upper_cut[k], _ceil_threshold(table.ustar, k),
-            seed * 131 + k, budget_nodes, budget_time,
+            seed * 131 + k, budget,
         )
         phase.attempts += 1
-        phase.nodes += res.nodes
         if res.nodes == 1:
             phase.root_solved += 1
         if res.status == "limit":
@@ -299,12 +298,11 @@ def solve_cardinality(
     When the budget runs out first the row is "pending" and brackets the
     optimum between the cheap lower bound and the annealed cut.
     """
-    require_budget(node_limit, time_limit, seed)
+    budget = Budget(node_limit, time_limit)
+    require_nonnegative(seed=seed)
     require_relaxation_fits(g.n + 1)
     cut, subset = anneal_bisection(g, k, seed=seed)
-    _, exact_cut, exact_subset = _exact_bisection(
-        g, k, cut, None, seed, node_limit, time_limit,
-    )
+    _, exact_cut, exact_subset = _exact_bisection(g, k, cut, None, seed, budget)
     if exact_subset is None:
         return BoundRow(k, cheap_lower_bound(g, k), Fraction(cut, k), "pending",
                         subset.indices())
@@ -330,9 +328,10 @@ def split_and_bound(
     workers : int
         Accepted for compatibility; only 1 is valid, because the engine
         runs one search loop.
-    node_limit, time_limit : shared budget across the whole run.  A run
-        cut short reports "limit", with a lower bound that is valid for
-        the cardinalities it never reached.
+    node_limit, time_limit : the limits of the one ``Budget`` that
+        pre-elimination and every exact solve share.  A run cut short
+        reports "limit", with a lower bound that is valid for the
+        cardinalities it never reached.
 
     Raises
     ------
@@ -343,18 +342,13 @@ def split_and_bound(
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}: the search runs in one loop")
-    require_budget(node_limit, time_limit, seed)
+    budget = Budget(node_limit, time_limit)
+    require_nonnegative(seed=seed)
     require_relaxation_fits(g.n + 1)
-    started = time.monotonic()
-    table = pre_eliminate(g, seed=seed, time_limit=time_limit)
-    preelim_ms = (time.monotonic() - started) * 1000.0
+    table = pre_eliminate(g, seed=seed, budget=budget)
+    preelim_ms = budget.elapsed() * 1000.0
     interesting = len(table.survivors())
-    phase = _ExactPhase()
-    if interesting:
-        phase = _run_exact_phase(
-            g, table, seed, node_limit, time_limit,
-            started, stop_on_improvement=False,
-        )
+    phase = _run_exact_phase(g, table, seed, budget, stop_on_improvement=False)
     if phase.hit_limit:
         status = "limit"
         lower = min([table.lower[k] for k in table.survivors()] + [table.ustar])
@@ -371,11 +365,11 @@ def split_and_bound(
         witness=table.ustar_witness.indices(),
         interesting=interesting,
         root_solved=phase.root_solved,
-        nodes=phase.nodes,
+        nodes=budget.nodes,
         iterations=phase.attempts,
         seed=seed,
         preelim_ms=preelim_ms,
-        total_ms=(time.monotonic() - started) * 1000.0,
+        total_ms=budget.elapsed() * 1000.0,
         table=table.rows(),
     )
 
@@ -409,21 +403,18 @@ def verify_lower_bound(
         On a negative ``upsilon``, budget or seed, a NaN budget, or if the
         relaxations, of order n + 1, exceed ``sdp.DIMENSION_CAP``.
     """
-    require_budget(node_limit, time_limit, seed)
+    budget = Budget(node_limit, time_limit)
+    require_nonnegative(seed=seed)
     upsilon = Fraction(upsilon)
     if upsilon < 0:
         raise ValueError("a lower bound candidate must be nonnegative")
     if upsilon == 0:
         return True, None
     require_relaxation_fits(g.n + 1)
-    started = time.monotonic()
-    table = pre_eliminate(g, seed=seed, initial_ustar=upsilon, time_limit=time_limit)
+    table = pre_eliminate(g, seed=seed, initial_ustar=upsilon, budget=budget)
     if table.ustar < upsilon:
         return False, table.ustar_witness
-    phase = _run_exact_phase(
-        g, table, seed, node_limit, time_limit,
-        started, stop_on_improvement=True,
-    )
+    phase = _run_exact_phase(g, table, seed, budget, stop_on_improvement=True)
     if phase.violation is not None:
         return False, phase.violation
     if phase.hit_limit:

@@ -156,30 +156,25 @@ def require_relaxation_fits(order: int):
         )
 
 
-def _anchor_decode(mask: int, n: int) -> tuple[int, ...]:
-    """Bits x_i = 1 when instance vertex i + 1 sits on the anchor's side."""
-    anchor = mask & 1
-    return tuple(1 if (mask >> (i + 1) & 1) == anchor else 0 for i in range(n))
-
-
 @dataclass(frozen=True)
-class BisectionReduction:
-    """Max-cut form of the k-bisection: bisection(S) = offset - cut exactly."""
+class AnchorReduction:
+    """Max-cut form of a constrained cut problem: value = offset - cut exactly.
+
+    Instance vertex 0 is the anchor and vertices 1..n are the graph's;
+    any vertices past them are slack bits, which decoding drops.
+    """
 
     instance: MaxCutInstance
     offset: int
-    k: int
-    penalty: int
+    n: int
 
     def decode_subset(self, mask: int) -> VertexSubset:
-        bits = _anchor_decode(mask, self.instance.n - 1)
-        sub_mask = 0
-        for i, b in enumerate(bits):
-            sub_mask |= b << i
-        return VertexSubset(self.instance.n - 1, sub_mask)
+        """Graph vertex i is in S when instance vertex i + 1 sits on the anchor's side."""
+        side = mask >> 1 if mask & 1 else ~mask >> 1
+        return VertexSubset(self.n, side & ((1 << self.n) - 1))
 
 
-def bisection_to_maxcut(g: Graph, k: int, cut_upper_bound: int) -> BisectionReduction:
+def bisection_to_maxcut(g: Graph, k: int, cut_upper_bound: int) -> AnchorReduction:
     """Closed-form max-cut instance for the cardinality-k bisection.
 
     Anchor weights are p(n - 2k) on every vertex, p - 1 across original
@@ -200,11 +195,10 @@ def bisection_to_maxcut(g: Graph, k: int, cut_upper_bound: int) -> BisectionRedu
         for j in range(i + 1, n):
             w = p - 1 if adj[i][j] else p
             weights[i + 1][j + 1] = weights[j + 1][i + 1] = w
-    return BisectionReduction(
+    return AnchorReduction(
         instance=MaxCutInstance.build(weights),
         offset=p * (n - k) * (n - k),
-        k=k,
-        penalty=p,
+        n=n,
     )
 
 
@@ -238,25 +232,7 @@ def penalty_weight(g: Graph, gamma: Fraction) -> int:
     return gn * g.n + gd * min(g.degrees) + 1
 
 
-@dataclass(frozen=True)
-class DinkelbachReduction:
-    """Max-cut form of the ratio objective: value = offset - cut for all x."""
-
-    instance: MaxCutInstance
-    offset: int
-    sigma: int
-    n: int
-    slack: tuple[int, ...]
-
-    def decode_subset(self, mask: int) -> VertexSubset:
-        bits = _anchor_decode(mask, self.instance.n - 1)
-        sub_mask = 0
-        for i in range(self.n):
-            sub_mask |= bits[i] << i
-        return VertexSubset(self.n, sub_mask)
-
-
-def dinkelbach_to_maxcut(g: Graph, gamma: Fraction) -> DinkelbachReduction:
+def dinkelbach_to_maxcut(g: Graph, gamma: Fraction) -> AnchorReduction:
     """Closed-form max-cut instance for the ratio objective at gamma."""
     gn, gd = _ratio_parts(gamma)
     n = g.n
@@ -297,10 +273,4 @@ def dinkelbach_to_maxcut(g: Graph, gamma: Fraction) -> DinkelbachReduction:
         - 2 * s * n
         + 2 * s
     )
-    return DinkelbachReduction(
-        instance=MaxCutInstance.build(weights),
-        offset=offset,
-        sigma=sigma,
-        n=n,
-        slack=v,
-    )
+    return AnchorReduction(instance=MaxCutInstance.build(weights), offset=offset, n=n)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cheeger import maxcut
 from cheeger.graphs import complete, cycle, path
 from cheeger.maxcut import (
+    Budget,
     contract_pair,
     enumerate_maxcut,
     gw_round,
@@ -399,15 +400,28 @@ def test_bisection_root_prune_with_tight_bound():
 
 def test_node_limit_reports_partial_result():
     red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
-    res = solve_maxcut(red.instance, node_limit=2)
+    res = solve_maxcut(red.instance, budget=Budget(node_limit=2))
     assert res.status == "limit"
     assert res.value <= 9948
     assert res.best_bound >= 9948
 
 
+def test_searches_share_one_budget():
+    # The second search starts with the budget already spent: it admits
+    # its root, charges it, and stops there.
+    red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
+    budget = Budget(node_limit=3)
+    first = solve_maxcut(red.instance, budget=budget)
+    second = solve_maxcut(red.instance, budget=budget)
+    assert (first.status, first.nodes) == ("limit", 3)
+    assert (second.status, second.nodes) == ("limit", 1)
+    assert budget.nodes == 4
+    assert budget.exhausted()
+
+
 def test_time_limit_zero_stops_after_root():
     red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
-    res = solve_maxcut(red.instance, time_limit=0.0)
+    res = solve_maxcut(red.instance, budget=Budget(time_limit=0.0))
     assert res.status == "limit"
     assert res.best_bound >= res.value
 
@@ -425,11 +439,9 @@ def test_time_limit_stops_triangle_loop(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(maxcut, "sdp_solve", counting_solve)
-    monkeypatch.setattr(
-        maxcut._Search, "_elapsed", lambda self: 0.0 if len(calls) < 2 else 100.0
-    )
+    monkeypatch.setattr(Budget, "elapsed", lambda self: 0.0 if len(calls) < 2 else 100.0)
     monkeypatch.setattr(maxcut, "LEAF_SIZE", 4)
-    res = solve_maxcut(inst, time_limit=50.0)
+    res = solve_maxcut(inst, budget=Budget(time_limit=50.0))
     assert len(calls) == 2
     assert res.status == "limit"
     assert res.best_bound >= res.value

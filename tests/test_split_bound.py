@@ -19,7 +19,7 @@ from cheeger.graphs import (
     gnp,
     hypercube,
 )
-from cheeger.maxcut import solve_maxcut
+from cheeger.maxcut import Budget, solve_maxcut
 from cheeger.report import bounds_csv, canonical_json
 from cheeger.sdp import SdpError
 from cheeger.split_bound import (
@@ -163,6 +163,17 @@ def test_limit_status_brackets_the_answer():
     assert any(row.status == "pending" for row in rep.table)
 
 
+@pytest.mark.parametrize("node_limit", [0, 1, 3, 10])
+@pytest.mark.parametrize("solve", [split_and_bound, dinkelbach_solve])
+def test_node_limit_caps_the_whole_run(solve, node_limit):
+    # Every exact solve of the run charges one budget, so the run stops
+    # at most one node past it: the second child of its last branching.
+    rep = solve(cycle(30), node_limit=node_limit)
+    assert rep.status == "limit"
+    assert rep.nodes <= node_limit + 1
+    assert rep.lower <= Fraction(2, 15) <= rep.upper
+
+
 def test_verify_accepts_true_bounds_and_refutes_false_ones():
     g = cycle(6)
     assert verify_lower_bound(g, Fraction(2, 3)) == (True, None)
@@ -211,7 +222,7 @@ def test_time_limit_stops_annealing(monkeypatch):
         assert expansion(g, VertexSubset.from_indices(g.n, row.witness)) == row.upper
 
     calls.clear()
-    table = pre_eliminate(g, time_limit=0.0)
+    table = pre_eliminate(g, budget=Budget(time_limit=0.0))
     assert calls == [1]
     assert table.cut_short and sorted(table.lower) == list(range(1, 7))
     assert not pre_eliminate(g).cut_short
@@ -253,15 +264,22 @@ def _refuse_annealing(monkeypatch):
     monkeypatch.setattr(maxcut, "_Search", refuse)
 
 
+def _with_budget(call):
+    """Hand a building block its limits the way a run does: in a Budget."""
+    def run(seed=0, **limits):
+        return call(seed=seed, budget=Budget(**limits))
+    return run
+
+
 _ENTRY_POINTS = {
-    "solve_maxcut": lambda **kw: solve_maxcut(
-        bisection_to_maxcut(cycle(20), 5, 4).instance, **kw),
+    "solve_maxcut": _with_budget(lambda **kw: solve_maxcut(
+        bisection_to_maxcut(cycle(20), 5, 4).instance, **kw)),
     "split_and_bound": lambda **kw: split_and_bound(gnp(13, 0.4, seed=1), **kw),
     "verify_lower_bound": lambda **kw: verify_lower_bound(cycle(30), Fraction(1, 8), **kw),
     "solve_cardinality": lambda **kw: solve_cardinality(cycle(12), 3, **kw),
-    "pre_eliminate": lambda **kw: pre_eliminate(cycle(12), **kw),
+    "pre_eliminate": _with_budget(lambda **kw: pre_eliminate(cycle(12), **kw)),
     "dinkelbach_solve": lambda **kw: dinkelbach_solve(gnp(13, 0.4, seed=1), **kw),
-    "evaluate_q": lambda **kw: evaluate_q(cycle(12), Fraction(1, 3), **kw),
+    "evaluate_q": _with_budget(lambda **kw: evaluate_q(cycle(12), Fraction(1, 3), **kw)),
 }
 _BAD_BUDGETS = {
     "nan-time": {"time_limit": math.nan},
@@ -272,13 +290,10 @@ _BAD_BUDGETS = {
 
 
 @pytest.mark.parametrize("entry, budget", [
-    (entry, budget)
-    for entry in _ENTRY_POINTS
-    for budget in _BAD_BUDGETS
-    if not (entry == "pre_eliminate" and budget == "negative-nodes")
+    (entry, budget) for entry in _ENTRY_POINTS for budget in _BAD_BUDGETS
 ])
 def test_bad_budgets_are_refused_up_front(monkeypatch, entry, budget):
-    # A NaN limit fails every elapsed > limit check, and a negative seed
+    # A NaN limit fails every elapsed >= limit check, and a negative seed
     # only fails once node rounding seeds numpy: both are refused first.
     _refuse_annealing(monkeypatch)
     with pytest.raises(ValueError, match="must be nonnegative"):
@@ -288,11 +303,8 @@ def test_bad_budgets_are_refused_up_front(monkeypatch, entry, budget):
 @pytest.mark.parametrize("entry", _ENTRY_POINTS)
 def test_edge_budgets_reach_the_work(monkeypatch, entry):
     _refuse_annealing(monkeypatch)
-    budget = {"time_limit": math.inf, "seed": 0}
-    if entry != "pre_eliminate":
-        budget["node_limit"] = 0
     with pytest.raises(_Annealed):
-        _ENTRY_POINTS[entry](**budget)
+        _ENTRY_POINTS[entry](node_limit=0, time_limit=math.inf, seed=0)
 
 
 def test_graphs_beyond_the_relaxation_cap_are_refused_up_front(monkeypatch):

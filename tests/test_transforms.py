@@ -392,6 +392,16 @@ def test_ratio_instance_exact_for_every_gamma():
             assert red.offset - best == _exhaustive_q(g, gamma)
 
 
+def test_decode_keeps_graph_vertices_on_the_anchor_side():
+    # Both encodings decode alike: graph vertex i is in S exactly when
+    # instance vertex i + 1 shares the anchor's side; slack bits are dropped.
+    g = cycle(6)
+    for red in (bisection_to_maxcut(g, 2, 2), dinkelbach_to_maxcut(g, Fraction(2, 3))):
+        for m in range(1 << red.instance.n):
+            expected = [i for i in range(g.n) if (m >> (i + 1) & 1) == (m & 1)]
+            assert red.decode_subset(m) == VertexSubset.from_indices(g.n, expected)
+
+
 def test_ratio_rejects_negative_gamma():
     with pytest.raises(ValueError):
         dinkelbach_to_maxcut(cycle(5), Fraction(-1, 2))
