@@ -17,16 +17,12 @@ bound is safe even when the interior-point iteration stops early.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph, laplacian
-from .sdp import BisectionSdp, DenseSdp, sdp_solve
-
-# Rounding guard when lifting a float certificate to an integer cut value.
-CEIL_SLACK = 1e-6
+from .sdp import BisectionSdp, DenseSdp, ceil_certified, sdp_solve
 
 
 def spectral_bound(g: Graph) -> float:
@@ -74,8 +70,21 @@ def cheap_bisection_bound(g: Graph, k: int) -> Fraction:
     """
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
-    cert = bisection_sdp_bound(g, k)
-    return Fraction(max(1, math.ceil(cert - CEIL_SLACK)), k)
+    return _cut_ratio_bound(bisection_sdp_bound(g, k), k)
+
+
+def _cut_ratio_bound(cut_lower: float, k: int) -> Fraction:
+    """Next integer cut (cuts of a connected graph are >= 1) over k."""
+    return Fraction(max(1, ceil_certified(cut_lower)), k)
+
+
+def fallback_bisection_bound(g: Graph, k: int, half_lambda: float) -> Fraction:
+    """Eigenvalue bound on the size-k bisection ratio, rationalized safely.
+
+    ``half_lambda`` is ``spectral_bound(g)``; every size-k cut is at least
+    2 * half_lambda * k * (n - k) / n.
+    """
+    return _cut_ratio_bound(2.0 * half_lambda * k * (g.n - k) / g.n, k)
 
 
 def bisection_sdp_bound(g: Graph, k: int) -> float:

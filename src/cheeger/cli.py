@@ -25,7 +25,6 @@ variable sets the logging level for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -34,9 +33,10 @@ from fractions import Fraction
 
 from cheeger.dinkelbach import dinkelbach_solve
 from cheeger.graphs import (
-    GraphFormatError,
     brute_force_h,
+    cut_value,
     dump_graph,
+    expansion,
     generate,
     load_graph,
     sniff_format,
@@ -45,6 +45,8 @@ from cheeger.maxcut import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, Budget, solve
 from cheeger.report import (
     SolveReport,
     bounds_csv,
+    bounds_json,
+    node_trace_csv,
     report_json,
     summary_csv,
     text_summary,
@@ -56,7 +58,7 @@ from cheeger.split_bound import (
     split_and_bound,
     verify_lower_bound,
 )
-from cheeger.transforms import TransformError, load_instance
+from cheeger.transforms import load_instance
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -168,56 +170,27 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _render_report(report: SolveReport, fmt: str) -> str:
-    if fmt == "json":
-        return report_json(report)
-    if fmt == "csv":
-        return summary_csv(report)
-    return text_summary(report)
+_REPORT_RENDERERS = {"json": report_json, "csv": summary_csv, "text": text_summary}
 
 
 def _cmd_solve(args) -> int:
     g = _load_graph_file(args.graph)
-    try:
-        if args.method == "split-bound":
-            report = split_and_bound(
-                g, seed=args.seed,
-                node_limit=args.node_limit, time_limit=args.time_limit,
-            )
-        elif args.method == "dinkelbach":
-            report = dinkelbach_solve(
-                g, seed=args.seed,
-                node_limit=args.node_limit, time_limit=args.time_limit,
-            )
-        else:
-            h, witness = brute_force_h(g)
-            report = SolveReport(
-                method="brute", n=g.n, m=g.m, status="solved",
-                lower=h, upper=h, witness=witness.indices(),
-                interesting=0, root_solved=0, nodes=0, iterations=0,
-                seed=args.seed, preelim_ms=0.0, total_ms=0.0,
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    _emit(_render_report(report, args.format), args.out)
+    if args.method == "brute":
+        h, witness = brute_force_h(g)
+        report = SolveReport(
+            method="brute", n=g.n, m=g.m, status="solved",
+            lower=h, upper=h, witness=witness.indices(),
+            interesting=0, root_solved=0, nodes=0, iterations=0,
+            seed=args.seed, preelim_ms=0.0, total_ms=0.0,
+        )
+    else:
+        solver = split_and_bound if args.method == "split-bound" else dinkelbach_solve
+        report = solver(
+            g, seed=args.seed,
+            node_limit=args.node_limit, time_limit=args.time_limit,
+        )
+    _emit(_REPORT_RENDERERS[args.format](report), args.out)
     return EXIT_OK if report.status == "solved" else EXIT_LIMIT
-
-
-def _bounds_payload(g, rows) -> str:
-    return json.dumps(
-        {
-            "schema": 1,
-            "n": g.n,
-            "m": g.m,
-            "table": [
-                [row.k, row.lower.numerator, row.lower.denominator,
-                 row.upper.numerator, row.upper.denominator, row.status]
-                for row in rows
-            ],
-        },
-        sort_keys=True, indent=2,
-    ) + "\n"
 
 
 def _bounds_text(rows) -> str:
@@ -236,18 +209,14 @@ def _cmd_bounds(args) -> int:
         rows, limited = table.rows(), table.cut_short
     else:
         if not 1 <= args.k <= g.n // 2:
-            raise GraphFormatError(f"k must lie in [1, {g.n // 2}], got {args.k}")
-        try:
-            row = solve_cardinality(
-                g, args.k, seed=args.seed,
-                node_limit=args.node_limit, time_limit=args.time_limit,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError(f"k must lie in [1, {g.n // 2}], got {args.k}")
+        row = solve_cardinality(
+            g, args.k, seed=args.seed,
+            node_limit=args.node_limit, time_limit=args.time_limit,
+        )
         rows, limited = (row,), row.status == "pending"
     if args.format == "json":
-        text = _bounds_payload(g, rows)
+        text = bounds_json(g.n, g.m, rows)
     elif args.format == "text":
         text = _bounds_text(rows)
     else:
@@ -263,17 +232,12 @@ def _cmd_verify(args) -> int:
             g, args.lb, seed=args.seed,
             node_limit=args.node_limit, time_limit=args.time_limit,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except LimitExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     if ok:
         print(f"valid: {args.lb} <= h(G)")
         return EXIT_OK
-    from cheeger.graphs import cut_value, expansion
-
     members = " ".join(str(v + 1) for v in certificate.indices())
     ratio = expansion(g, certificate)
     print(f"refuted: S = {{{members}}} has cut {cut_value(g, certificate)} "
@@ -282,21 +246,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        if args.family == "gnp":
-            if len(args.params) != 2:
-                raise ValueError("gnp takes n and an edge probability")
-            g = generate("gnp", int(args.params[0]), float(args.params[1]),
-                         args.seed)
-            label = f"gnp {args.params[0]} {args.params[1]} seed {args.seed}"
-        else:
-            if len(args.params) != 1:
-                raise ValueError(f"{args.family} takes a single size parameter")
-            g = generate(args.family, int(args.params[0]))
-            label = f"{args.family} {args.params[0]}"
-    except (ValueError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.family == "gnp":
+        if len(args.params) != 2:
+            raise ValueError("gnp takes n and an edge probability")
+        g = generate("gnp", int(args.params[0]), float(args.params[1]),
+                     args.seed)
+        label = f"gnp {args.params[0]} {args.params[1]} seed {args.seed}"
+    else:
+        if len(args.params) != 1:
+            raise ValueError(f"{args.family} takes a single size parameter")
+        g = generate(args.family, int(args.params[0]))
+        label = f"{args.family} {args.params[0]}"
     _emit(dump_graph(g, comment=label), args.out)
     return EXIT_OK
 
@@ -309,10 +269,7 @@ def _cmd_maxcut(args) -> int:
         seed=args.seed, trace=trace_rows,
     )
     if args.trace:
-        lines = ["node,depth,bound,incumbent"]
-        lines.extend(f"{nid},{depth},{bound:.6f},{inc}"
-                     for nid, depth, bound, inc in trace_rows)
-        _emit("\n".join(lines) + "\n", args.trace)
+        _emit(node_trace_csv(trace_rows), args.trace)
     if res.mask is None:
         side = "-"
     else:
@@ -344,10 +301,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (GraphFormatError, TransformError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # Bad input of any kind: a malformed file (GraphFormatError and
+        # TransformError are ValueErrors), a refused value, a missing path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -2,7 +2,9 @@
 
 Vertices are 0-based internally; both file formats are 1-based.  Graphs are
 validated on construction (simple, undirected, connected, n >= 3) and are
-immutable afterwards, so they can be shared freely between threads.
+immutable afterwards.  The edge-row format (``n m`` header, then ``i j``
+rows) is read and written by ``read_edge_rows`` and ``write_edge_rows``,
+which the max-cut instance files share with a weight column appended.
 
 The brute_force_* functions enumerate vertex subsets directly and exist to
 check every other component against ground truth on small instances.  They
@@ -204,34 +206,62 @@ def _tokenize(text: str, skip_comments: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def _parse_int(tok: str, lineno: int, what: str) -> int:
+def _parse_int(tok: str, lineno: int, what: str, error=GraphFormatError) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise GraphFormatError(f"line {lineno}: bad {what} {tok!r}") from None
+        raise error(f"line {lineno}: bad {what} {tok!r}") from None
 
 
-def _parse_edge_list(text: str) -> Graph:
-    rows = _tokenize(text, "#")
+def _parse_row(toks: list[str], lineno: int, n: int, error) -> tuple[int, ...]:
+    """Endpoints in 1..n, then any weights, as a row with 0-based endpoints."""
+    u, v, *w = (_parse_int(t, lineno, "weight" if c > 1 else "endpoint", error)
+                for c, t in enumerate(toks))
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise error(f"line {lineno}: endpoint outside 1..{n}")
+    return u - 1, v - 1, *w
+
+
+def _decode(source: str | bytes | IO) -> str:
+    if hasattr(source, "read"):
+        source = source.read()
+    return source.decode("utf-8") if isinstance(source, bytes) else source
+
+
+def read_edge_rows(source: str | bytes | IO, weighted: bool = False,
+                   error: type[ValueError] = GraphFormatError):
+    """Parse the edge-row format from text, bytes, or a readable stream.
+
+    A header ``n m`` is followed by ``m`` rows ``i j``, or ``i j w`` when
+    ``weighted``, with 1-based endpoints in 1..n; ``#`` lines are
+    comments.  Returns ``n`` and one ``(lineno, u, v, *w)`` tuple per row,
+    endpoints 0-based.  Malformed input raises ``error``.
+    """
+    rows = _tokenize(_decode(source), "#")
     if not rows:
-        raise GraphFormatError("empty input")
+        raise error("empty input")
     lineno, head = rows[0]
     if len(head) != 2:
-        raise GraphFormatError(f"line {lineno}: expected header 'n m'")
-    n = _parse_int(head[0], lineno, "vertex count")
-    m = _parse_int(head[1], lineno, "edge count")
-    edges = []
+        raise error(f"line {lineno}: expected header 'n m'")
+    n = _parse_int(head[0], lineno, "vertex count", error)
+    m = _parse_int(head[1], lineno, "edge count", error)
+    cols = "i j w" if weighted else "i j"
+    out = []
     for lineno, toks in rows[1:]:
-        if len(toks) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'i j'")
-        u = _parse_int(toks[0], lineno, "endpoint")
-        v = _parse_int(toks[1], lineno, "endpoint")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"line {lineno}: endpoint outside 1..{n}")
-        edges.append((u - 1, v - 1))
-    if len(edges) != m:
-        raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
-    return Graph.build(n, edges)
+        if len(toks) != len(cols.split()):
+            raise error(f"line {lineno}: expected '{cols}'")
+        out.append((lineno, *_parse_row(toks, lineno, n, error)))
+    if len(out) != m:
+        raise error(f"header announces {m} edges, found {len(out)}")
+    return n, out
+
+
+def write_edge_rows(n: int, rows: Sequence[tuple[int, ...]], comment: str | None = None) -> str:
+    """Render ``(u, v, *w)`` rows, endpoints 0-based, in the edge-row format."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(f"{n} {len(rows)}")
+    lines.extend(" ".join(map(str, (u + 1, v + 1, *w))) for u, v, *w in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _parse_dimacs(text: str) -> Graph:
@@ -240,8 +270,6 @@ def _parse_dimacs(text: str) -> Graph:
     edges = []
     for lineno, toks in _tokenize(text, "c"):
         kind = toks[0]
-        if kind == "c":
-            continue
         if kind == "p":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: repeated problem line")
@@ -254,11 +282,7 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
             if len(toks) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'e i j'")
-            u = _parse_int(toks[1], lineno, "endpoint")
-            v = _parse_int(toks[2], lineno, "endpoint")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"line {lineno}: endpoint outside 1..{n}")
-            edges.append((u - 1, v - 1))
+            edges.append(_parse_row(toks[1:], lineno, n, GraphFormatError))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {kind!r}")
     if n is None:
@@ -274,12 +298,10 @@ def load_graph(source: str | bytes | IO, fmt: str = "edge-list") -> Graph:
     ``fmt`` is ``"edge-list"`` (header ``n m`` then ``i j`` rows, ``#``
     comments) or ``"dimacs"`` (``p edge n m`` and ``e i j`` records).
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    source = _decode(source)
     if fmt == "edge-list":
-        return _parse_edge_list(source)
+        n, rows = read_edge_rows(source)
+        return Graph.build(n, [(u, v) for _, u, v in rows])
     if fmt == "dimacs":
         return _parse_dimacs(source)
     raise ValueError(f"unknown format {fmt!r}")
@@ -288,21 +310,12 @@ def load_graph(source: str | bytes | IO, fmt: str = "edge-list") -> Graph:
 def sniff_format(text: str) -> str:
     """Guess the file format: a 'p' problem line means DIMACS."""
     for _, toks in _tokenize(text, "#"):
-        if toks[0] == "p":
-            return "dimacs"
-        if toks[0] == "c" or toks[0] == "e":
-            return "dimacs"
-        return "edge-list"
+        return "dimacs" if toks[0] in ("p", "c", "e") else "edge-list"
     return "edge-list"
 
 
 def dump_graph(g: Graph, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u + 1} {v + 1}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return write_edge_rows(g.n, g.edges, comment)
 
 
 # ---------------------------------------------------------------------------

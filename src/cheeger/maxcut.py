@@ -47,7 +47,7 @@ from functools import cache
 
 import numpy as np
 
-from .sdp import UnitDiagonalSdp, sdp_solve
+from .sdp import UnitDiagonalSdp, floor_certified, sdp_solve
 from .transforms import MaxCutInstance
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -105,8 +105,6 @@ TRIANGLE_STALL_TOL = 2e-3
 TRIANGLE_CAP_PER_VERTEX = 3
 TRIANGLE_REACH = 0.6
 POLYAK_MARGIN = 1e-3
-# Guard against certificate roundoff when flooring a float bound.
-FLOOR_SLACK = 1e-6
 # int64 enumeration is safe while max |w| * N^2 stays under this.
 ENUM_INT64_LIMIT = 1 << 60
 # Cuts held in memory at once by enumeration.
@@ -384,7 +382,7 @@ class _Search:
         local_best = -math.inf
         for signs in gw_round(x, rng):
             local_best = max(local_best, self._offer(node, signs))
-        if self._floor(bound) <= self.incumbent or n < 4:
+        if floor_certified(bound) <= self.incumbent or n < 4:
             node.bound = bound
             return
         # Dualizing triangles is worth several extra solves only when the
@@ -426,7 +424,7 @@ class _Search:
             for signs in gw_round(x, rng, rounds=6):
                 self._offer(node, signs)
             target = self.incumbent + 1 - POLYAK_MARGIN
-            if self._floor(bound) <= self.incumbent or stalls >= 2:
+            if floor_certified(bound) <= self.incumbent or stalls >= 2:
                 break
             grad = np.empty(len(triangles))
             for t, (i, j, k, a, b, c) in enumerate(triangles):
@@ -439,10 +437,6 @@ class _Search:
                 break
             gam = np.maximum(0.0, gam - step * grad)
         node.bound = bound
-
-    @staticmethod
-    def _floor(bound):
-        return math.floor(bound + FLOOR_SLACK)
 
     # -- life cycle of a node ----------------------------------------------
 
@@ -459,7 +453,7 @@ class _Search:
         self._bound(node)
         node.bound = min(node.bound, cap)
         self._log_node(node, node.bound)
-        if self._floor(node.bound) > self.incumbent:
+        if floor_certified(node.bound) > self.incumbent:
             heapq.heappush(self.heap, (-node.bound, -node.depth, next(self.pushes), node))
 
     def _log_node(self, node: _Node, bound):
@@ -481,13 +475,16 @@ class _Search:
             self._admit(child, cap=node.bound)
 
     def run(self) -> MaxCutResult:
+        if self.budget.exhausted():
+            # Nothing admitted: the starting incumbent, and no bound on the rest.
+            return MaxCutResult(self.incumbent, self.incumbent_mask, "limit", 0, math.inf)
         self._admit(self.root)
         while self.heap:
             if self.budget.exhausted():
                 self.hit_limit = True
                 break
             _, _, _, node = heapq.heappop(self.heap)
-            if self._floor(node.bound) > self.incumbent:
+            if floor_certified(node.bound) > self.incumbent:
                 self._branch(node)
 
         open_bounds = [-entry[0] for entry in self.heap]
@@ -526,7 +523,9 @@ def solve_maxcut(
     budget : Budget, optional
         Limits shared with the run's other searches (default ``Budget()``).
         Once it is exhausted the status is "limit", with the incumbent and
-        the best open bound.  ``nodes`` counts this search's nodes only.
+        the best open bound; a search that starts on an exhausted budget
+        admits no root and reports 0 nodes and a best bound of inf.
+        ``nodes`` counts this search's nodes only.
     seed : int
         Drives hyperplane rounding; fixed seed makes runs reproducible.
     trace : list, optional

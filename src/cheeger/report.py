@@ -81,9 +81,27 @@ class SolveReport:
     trace: tuple[TraceRow, ...] = ()
 
 
-def _base_payload(report: SolveReport) -> dict:
+# Frozen column order of each rendered row type; the cell functions below
+# list the values in this order.
+BOUND_COLUMNS = ("k", "lower_num", "lower_den", "upper_num", "upper_den", "status")
+TRACE_COLUMNS = ("iteration", "gamma_num", "gamma_den", "q", "denominator", "nodes", "ms")
+NODE_COLUMNS = ("node", "depth", "bound", "incumbent")
+_MS_COLUMNS = ("ms", "preelim_ms", "total_ms")
+
+
+def _bound_cells(row: BoundRow) -> list:
+    return [row.k, row.lower.numerator, row.lower.denominator,
+            row.upper.numerator, row.upper.denominator, row.status]
+
+
+def _trace_cells(row: TraceRow) -> list:
+    return [row.iteration, row.gamma.numerator, row.gamma.denominator,
+            row.q_value, row.denominator, row.nodes, row.ms]
+
+
+def _summary(report: SolveReport) -> dict:
+    """The one-row summary, keyed and ordered by its frozen columns."""
     return {
-        "schema": 1,
         "method": report.method,
         "n": report.n,
         "m": report.m,
@@ -100,77 +118,72 @@ def _base_payload(report: SolveReport) -> dict:
         "seed": report.seed,
         # Schema 1 keeps this column; the search always runs one loop.
         "workers": 1,
-        "table": [
-            [row.k, row.lower.numerator, row.lower.denominator,
-             row.upper.numerator, row.upper.denominator, row.status]
-            for row in report.table
-        ],
-        "trace": [
-            [row.iteration, row.gamma.numerator, row.gamma.denominator,
-             row.q_value, row.denominator, row.nodes]
-            for row in report.trace
-        ],
+        "preelim_ms": report.preelim_ms,
+        "total_ms": report.total_ms,
     }
+
+
+def _payload(report: SolveReport, timed: bool) -> dict:
+    """The JSON record; without ``timed``, every millisecond field is left out."""
+    payload = {"schema": 1, **_summary(report)}
+    trace = [_trace_cells(row) for row in report.trace]
+    if not timed:
+        del payload["preelim_ms"], payload["total_ms"]
+        trace = [cells[:-1] for cells in trace]
+    payload["table"] = [_bound_cells(row) for row in report.table]
+    payload["trace"] = trace
+    return payload
 
 
 def canonical_json(report: SolveReport) -> str:
     """Timing-free rendering; byte-stable for a fixed seed."""
-    payload = _base_payload(report)
+    payload = _payload(report, timed=False)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def report_json(report: SolveReport) -> str:
-    """Full rendering with millisecond timings appended."""
-    payload = _base_payload(report)
-    payload["preelim_ms"] = report.preelim_ms
-    payload["total_ms"] = report.total_ms
-    payload["trace"] = [
-        [row.iteration, row.gamma.numerator, row.gamma.denominator,
-         row.q_value, row.denominator, row.nodes, row.ms]
-        for row in report.trace
-    ]
+    """Full rendering with millisecond timings."""
+    return json.dumps(_payload(report, timed=True), sort_keys=True, indent=2) + "\n"
+
+
+def bounds_json(n: int, m: int, rows) -> str:
+    """The bounds table of an n-vertex, m-edge graph as a JSON record."""
+    payload = {"schema": 1, "n": n, "m": m, "table": [_bound_cells(row) for row in rows]}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def bounds_csv(rows) -> str:
-    """Frozen columns: k,lower_num,lower_den,upper_num,upper_den,status."""
-    lines = ["k,lower_num,lower_den,upper_num,upper_den,status"]
-    for row in rows:
-        lines.append(
-            f"{row.k},{row.lower.numerator},{row.lower.denominator},"
-            f"{row.upper.numerator},{row.upper.denominator},{row.status}"
-        )
+def _csv(columns, rows) -> str:
+    """Header and rows; milliseconds to three decimals, the witness quoted."""
+    lines = [",".join(columns)]
+    for cells in rows:
+        lines.append(",".join(
+            f"{value:.3f}" if name in _MS_COLUMNS
+            else f'"{" ".join(map(str, value))}"' if name == "witness"
+            else str(value)
+            for name, value in zip(columns, cells)
+        ))
     return "\n".join(lines) + "\n"
+
+
+def bounds_csv(rows) -> str:
+    """Frozen columns ``BOUND_COLUMNS``."""
+    return _csv(BOUND_COLUMNS, map(_bound_cells, rows))
 
 
 def trace_csv(rows) -> str:
-    """Frozen columns: iteration,gamma_num,gamma_den,q,denominator,nodes,ms."""
-    lines = ["iteration,gamma_num,gamma_den,q,denominator,nodes,ms"]
-    for row in rows:
-        lines.append(
-            f"{row.iteration},{row.gamma.numerator},{row.gamma.denominator},"
-            f"{row.q_value},{row.denominator},{row.nodes},{row.ms:.3f}"
-        )
-    return "\n".join(lines) + "\n"
+    """Frozen columns ``TRACE_COLUMNS``."""
+    return _csv(TRACE_COLUMNS, map(_trace_cells, rows))
+
+
+def node_trace_csv(rows) -> str:
+    """Frozen columns ``NODE_COLUMNS``, from ``solve_maxcut``'s trace rows."""
+    return _csv(NODE_COLUMNS, ((i, depth, f"{bound:.6f}", inc) for i, depth, bound, inc in rows))
 
 
 def summary_csv(report: SolveReport) -> str:
     """One-row summary; frozen columns matching the JSON field names."""
-    header = (
-        "method,n,m,status,h_num,h_den,lower_num,lower_den,witness,"
-        "interesting,root_solved,nodes,iterations,seed,workers,"
-        "preelim_ms,total_ms"
-    )
-    witness = " ".join(str(v + 1) for v in report.witness)
-    row = (
-        f"{report.method},{report.n},{report.m},{report.status},"
-        f"{report.upper.numerator},{report.upper.denominator},"
-        f"{report.lower.numerator},{report.lower.denominator},"
-        f"\"{witness}\",{report.interesting},{report.root_solved},"
-        f"{report.nodes},{report.iterations},{report.seed},1,"
-        f"{report.preelim_ms:.3f},{report.total_ms:.3f}"
-    )
-    return header + "\n" + row + "\n"
+    summary = _summary(report)
+    return _csv(summary, [summary.values()])
 
 
 def text_summary(report: SolveReport) -> str:

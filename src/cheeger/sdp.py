@@ -223,6 +223,21 @@ class SdpSolution:
         return self.dual_obj + min(0.0, self.dual_slack_min_eig) * trace_bound
 
 
+# Guard against certificate roundoff when an integer is read off a float
+# bound; every pruning and elimination step rounds through these two.
+CERTIFICATE_SLACK = 1e-6
+
+
+def floor_certified(upper: float) -> int:
+    """Largest integer that a float upper-bound certificate admits."""
+    return math.floor(upper + CERTIFICATE_SLACK)
+
+
+def ceil_certified(lower: float) -> int:
+    """Smallest integer that a float lower-bound certificate admits."""
+    return math.ceil(lower - CERTIFICATE_SLACK)
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 

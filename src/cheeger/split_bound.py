@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .annealing import anneal_bisection
-from .bounds import cheap_bisection_bound, spectral_bound
+from .bounds import cheap_bisection_bound, fallback_bisection_bound, spectral_bound
 from .graphs import Graph, VertexSubset, cut_value
 from .maxcut import (
     DEFAULT_NODE_LIMIT,
@@ -46,9 +46,6 @@ from .sdp import SdpError
 from .transforms import bisection_to_maxcut, require_relaxation_fits
 
 log = logging.getLogger(__name__)
-
-# Safety slack when rationalizing the fallback eigenvalue bound.
-SPECTRAL_SLACK = 1e-6
 
 
 class LimitExceeded(RuntimeError):
@@ -115,12 +112,6 @@ class BoundsTable:
         return tuple(out)
 
 
-def _fallback_lower(g: Graph, k: int, half_lambda: float) -> Fraction:
-    """Eigenvalue bisection bound, rationalized safely: cuts are integers."""
-    raw = 2.0 * half_lambda * k * (g.n - k) / g.n
-    return Fraction(max(1, math.ceil(raw - SPECTRAL_SLACK)), k)
-
-
 def cheap_lower_bound(g: Graph, k: int) -> Fraction:
     """Certified lower bound on the size-k bisection ratio.
 
@@ -132,7 +123,7 @@ def cheap_lower_bound(g: Graph, k: int) -> Fraction:
         return cheap_bisection_bound(g, k)
     except SdpError as exc:
         log.warning("relaxation failed for k=%d (%s); eigenvalue fallback", k, exc)
-        return _fallback_lower(g, k, spectral_bound(g))
+        return fallback_bisection_bound(g, k, spectral_bound(g))
 
 
 def pre_eliminate(
@@ -155,9 +146,11 @@ def pre_eliminate(
     in full, so an incumbent exists), each remaining k gets the
     rationalized eigenvalue bound and the cut of its first k vertices
     instead, and the table is marked ``cut_short``.  No search runs here,
-    so the node limit does not apply.  A negative ``seed`` raises ``ValueError``.
+    so the node limit does not apply.  A negative ``seed``, or relaxations
+    (order n + 1) over ``sdp.DIMENSION_CAP``, raise ``ValueError``.
     """
     require_nonnegative(seed=seed)
+    require_relaxation_fits(g.n + 1)
     budget = budget or Budget()
     table = BoundsTable(n=g.n)
     if initial_ustar is not None:
@@ -167,7 +160,7 @@ def pre_eliminate(
             table.cut_short = True
             half_lambda = spectral_bound(g)
         if table.cut_short:
-            table.lower[k] = _fallback_lower(g, k, half_lambda)
+            table.lower[k] = fallback_bisection_bound(g, k, half_lambda)
             subset = VertexSubset.from_indices(g.n, range(k))
             cut = cut_value(g, subset)
         else:
@@ -344,7 +337,6 @@ def split_and_bound(
         raise ValueError(f"workers must be 1, got {workers}: the search runs in one loop")
     budget = Budget(node_limit, time_limit)
     require_nonnegative(seed=seed)
-    require_relaxation_fits(g.n + 1)
     table = pre_eliminate(g, seed=seed, budget=budget)
     preelim_ms = budget.elapsed() * 1000.0
     interesting = len(table.survivors())
@@ -410,7 +402,6 @@ def verify_lower_bound(
         raise ValueError("a lower bound candidate must be nonnegative")
     if upsilon == 0:
         return True, None
-    require_relaxation_fits(g.n + 1)
     table = pre_eliminate(g, seed=seed, initial_ustar=upsilon, budget=budget)
     if table.ustar < upsilon:
         return False, table.ustar_witness

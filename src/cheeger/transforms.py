@@ -20,6 +20,11 @@ Two instances are built:
 The tests hold both builders to coefficient equality with a generic
 route (penalized program, then the standard anchor-vertex reduction)
 that lives there as an independent oracle.
+
+Instance files are the graph edge-row format with a weight column, in
+the layout Biq Mac reads; ``load_instance`` adds only the checks that
+the graph reader leaves to ``Graph.build``: n >= 2, the relaxation cap,
+equal endpoints and duplicate pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, VertexSubset
+from .graphs import Graph, VertexSubset, read_edge_rows, write_edge_rows
 from .sdp import DIMENSION_CAP
 
 
@@ -77,21 +82,11 @@ def dump_instance(inst: MaxCutInstance, comment: str | None = None) -> str:
     """Serialize an instance as ``n m`` then 1-based ``i j w`` rows.
 
     Only nonzero weights are written; the header's second field counts
-    them.  The format mirrors the graph edge-list format with a weight
-    column appended.
+    them.  The format is the graph edge-row format with a weight column.
     """
-    pairs = [
-        (i, j, inst.weights[i][j])
-        for i in range(inst.n)
-        for j in range(i + 1, inst.n)
-        if inst.weights[i][j]
-    ]
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"{inst.n} {len(pairs)}")
-    lines.extend(f"{i + 1} {j + 1} {w}" for i, j, w in pairs)
-    return "\n".join(lines) + "\n"
+    rows = [(i, j, inst.weights[i][j])
+            for i in range(inst.n) for j in range(i + 1, inst.n) if inst.weights[i][j]]
+    return write_edge_rows(inst.n, rows, comment)
 
 
 def load_instance(source) -> MaxCutInstance:
@@ -100,49 +95,21 @@ def load_instance(source) -> MaxCutInstance:
     Instances above ``sdp.DIMENSION_CAP`` vertices, the relaxation
     solver's cap, are refused before any weight storage is allocated.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    rows = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line.split()))
-    if not rows:
-        raise TransformError("empty input")
-    lineno, head = rows[0]
-    if len(head) != 2:
-        raise TransformError(f"line {lineno}: expected header 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise TransformError(f"line {lineno}: bad header {head!r}") from None
+    n, rows = read_edge_rows(source, weighted=True, error=TransformError)
     if n < 2:
-        raise TransformError(f"line {lineno}: instance needs at least two vertices")
+        raise TransformError("instance needs at least two vertices")
     if n > DIMENSION_CAP:
-        raise TransformError(
-            f"line {lineno}: {n} vertices exceed the relaxation cap {DIMENSION_CAP}"
-        )
+        raise TransformError(f"{n} vertices exceed the relaxation cap {DIMENSION_CAP}")
     weights = [[0] * n for _ in range(n)]
     seen = set()
-    for lineno, toks in rows[1:]:
-        if len(toks) != 3:
-            raise TransformError(f"line {lineno}: expected 'i j w'")
-        try:
-            u, v, w = int(toks[0]), int(toks[1]), int(toks[2])
-        except ValueError:
-            raise TransformError(f"line {lineno}: bad entry {toks!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n) or u == v:
-            raise TransformError(f"line {lineno}: endpoints outside 1..{n} or equal")
+    for lineno, u, v, w in rows:
+        if u == v:
+            raise TransformError(f"line {lineno}: equal endpoints {u + 1} {v + 1}")
         pair = (min(u, v), max(u, v))
         if pair in seen:
-            raise TransformError(f"line {lineno}: duplicate pair {u} {v}")
+            raise TransformError(f"line {lineno}: duplicate pair {u + 1} {v + 1}")
         seen.add(pair)
-        weights[u - 1][v - 1] = weights[v - 1][u - 1] = w
-    if len(rows) - 1 != m:
-        raise TransformError(f"header announces {m} entries, found {len(rows) - 1}")
+        weights[u][v] = weights[v][u] = w
     return MaxCutInstance.build(weights)
 
 

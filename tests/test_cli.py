@@ -174,6 +174,7 @@ def test_graphs_beyond_the_relaxation_cap_exit_two(tmp_path, capsys, monkeypatch
     p.write_text(dump_graph(cycle(700)))
     for argv in (
         ["solve", str(p)],
+        ["bounds", str(p)],
         ["solve", "--method", "dinkelbach", str(p)],
         ["bounds", "--k", "3", str(p)],
         ["verify", "--lb", "1/2", str(p)],
@@ -246,6 +247,16 @@ def test_bounds_single_cardinality_checks_the_witness(tmp_path, capsys, monkeypa
         main(["bounds", "--k", "3", str(p)])
 
 
+def test_bounds_single_cardinality_without_nodes_is_pending(tmp_path, capsys):
+    g = gnp(11, 0.4, seed=3)
+    path = tmp_path / "g.graph"
+    path.write_text(dump_graph(g))
+    exact, _ = brute_force_bisection(g, 3)
+    code, k, lower, upper, status = _bounds_k_row(path, 3, capsys, "--node-limit", "0")
+    assert (code, k, status) == (3, 3, "pending")
+    assert lower <= Fraction(exact, 3) <= upper
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     p = tmp_path / "c6.graph"
     p.write_text(C6_TEXT)
@@ -278,6 +289,13 @@ def test_maxcut_solves_instance_with_trace(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0] == "node,depth,bound,incumbent"
     assert lines[1].startswith("0,0,")
+
+
+def test_maxcut_without_nodes_reports_the_limit(capsys, monkeypatch):
+    code, out, _ = run(["maxcut", "--node-limit", "0", "-"], capsys, monkeypatch,
+                       stdin="4 4\n1 2 1\n2 3 1\n3 4 1\n1 4 1\n")
+    assert code == 3
+    assert "status     limit\nnodes      0\nbest_bound inf\n" in out
 
 
 def test_parse_failures_exit_two(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the branch-and-bound max-cut solver."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -408,21 +409,30 @@ def test_node_limit_reports_partial_result():
 
 def test_searches_share_one_budget():
     # The second search starts with the budget already spent: it admits
-    # its root, charges it, and stops there.
+    # no root and charges nothing.
     red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
     budget = Budget(node_limit=3)
     first = solve_maxcut(red.instance, budget=budget)
     second = solve_maxcut(red.instance, budget=budget)
     assert (first.status, first.nodes) == ("limit", 3)
-    assert (second.status, second.nodes) == ("limit", 1)
-    assert budget.nodes == 4
+    assert (second.status, second.nodes) == ("limit", 0)
+    assert (second.value, second.mask, second.best_bound) == (0, 0, math.inf)
+    assert budget.nodes == 3
     assert budget.exhausted()
+
+
+def test_exhausted_budget_keeps_the_injected_bound():
+    red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
+    res = solve_maxcut(red.instance, initial_lb=9000, budget=Budget(node_limit=0))
+    assert (res.status, res.nodes, res.value, res.mask) == ("limit", 0, 9000, None)
+    assert res.best_bound == math.inf
 
 
 def test_time_limit_zero_stops_after_root():
     red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
     res = solve_maxcut(red.instance, budget=Budget(time_limit=0.0))
     assert res.status == "limit"
+    assert res.nodes == 0
     assert res.best_bound >= res.value
 
 

@@ -15,6 +15,7 @@ from cheeger import bounds
 from cheeger.graphs import brute_force_bisection, complete, cycle, gnp, laplacian
 from cheeger.maxcut import _signed_laplacian, enumerate_maxcut, solve_maxcut
 from cheeger.sdp import (
+    CERTIFICATE_SLACK,
     DIMENSION_CAP,
     BisectionSdp,
     DenseSdp,
@@ -342,7 +343,7 @@ def test_cheap_bound_equals_the_dense_rows_fraction(n, p, seed):
     c = _bisection_objective(g)
     for k in range(1, n // 2 + 1):
         cert = sdp_solve(_dense_bisection_problem(c, k)).certified_lower_bound(1.0 + k)
-        ref = Fraction(max(1, math.ceil(cert - bounds.CEIL_SLACK)), k)
+        ref = Fraction(max(1, math.ceil(cert - CERTIFICATE_SLACK)), k)
         assert bounds.cheap_bisection_bound(g, k) == ref
 
 

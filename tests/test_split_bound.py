@@ -249,6 +249,16 @@ def test_annealing_runs_once_per_cardinality(monkeypatch, g):
     assert calls == [3]
 
 
+def test_solve_cardinality_without_nodes_stays_pending():
+    # No node may be spent, so the row brackets the optimum instead of
+    # claiming it.
+    g = cycle(14)
+    row = solve_cardinality(g, 3, node_limit=0)
+    exact, _ = brute_force_bisection(g, 3)
+    assert row.status == "pending"
+    assert row.lower <= Fraction(exact, 3) <= row.upper
+
+
 class _Annealed(Exception):
     """Raised by stubs of the first work an entry point does."""
 
@@ -316,6 +326,7 @@ def test_graphs_beyond_the_relaxation_cap_are_refused_up_front(monkeypatch):
         lambda: split_and_bound(too_big),
         lambda: verify_lower_bound(too_big, Fraction(1, 2)),
         lambda: solve_cardinality(too_big, 3),
+        lambda: pre_eliminate(too_big),
         lambda: dinkelbach_solve(cycle(582)),
     ):
         with pytest.raises(ValueError, match="DIMENSION_CAP = 600"):
