@@ -12,14 +12,15 @@ Node bounds solve ``sdp.UnitDiagonalSdp``, whose rows diag(X) = 1 act
 elementwise, so no generic constraint rows are built on the hot path; its
 start is dual feasible, and every dual iterate is a certificate.
 Enumeration meets in the middle: one sign table per half of the
-vertices, and the cuts of a block of high-half codes against all
-low-half codes at a time, so memory stays near 2^16 cuts plus two tables
-of 2^(n/2) rows even at the 24-vertex cap.
+vertices, and one matrix product per block of high-half codes against
+all low-half codes, so memory stays near 2^16 cuts plus two tables of
+2^(n/2) rows even at the 24-vertex cap.
 
-All cut values are exact integers (guarded int64 arithmetic, or Python
-integers in the same array expressions once weights are too wide for
-int64); floats appear only inside relaxation bounds, which are certified
-and therefore safe to floor against the integer incumbent.
+All cut values are exact integers.  Enumeration sums in float64 on BLAS
+while every sum stays below 2^53, where float64 integers are exact, in
+int64 below 2^60, and in Python integers beyond; other floats appear
+only inside relaxation bounds, which are certified and therefore safe to
+floor against the integer incumbent.
 
 The search is one best-first loop over a heap of open nodes: pop the
 node with the largest bound and branch it unless its floored bound no
@@ -92,11 +93,20 @@ class Budget:
         return self.nodes >= self.node_limit or self.out_of_time()
 
 
-# Exhaustive leaf enumeration beats one more round of SDP bounding up to
-# at least this order: an 18-vertex leaf enumerates in about 3 ms and a
-# 20-vertex one in about 10 ms, while a bounded node costs about 50 ms of
-# node SDP solves (2-vCPU Xeon).  A larger value changes node counts.
-LEAF_SIZE = 18
+# Leaves are enumerated up to the largest order at which a dense leaf
+# costs no more than a mean bounded node: node SDP solves plus rounding,
+# 7.3 ms on small-mixed, 12.0 ms on ratio-ring and 13.2 ms on split-mid in
+# traced bench passes at 18-vertex leaves.  Float64 enumeration of a
+# dense random instance, best of 7 (2-vCPU Xeon, one OpenBLAS thread):
+#
+#     order   18     20     21     22     23     24
+#     ms      0.85   1.36   1.97   3.88   6.76   13.2
+#
+# A search whose weights can push a leaf out of the float tier keeps
+# 18-vertex leaves: there the Python-integer tier takes 0.16 s and doubles
+# with each further vertex.  Changing either size changes node counts.
+LEAF_SIZE = 23
+WIDE_LEAF_SIZE = 18
 # Triangle-inequality dualization schedule.  Dualizing is only attempted
 # when the distance to the pruning threshold is within what the rounding
 # gap suggests the inequalities can recover.
@@ -105,7 +115,9 @@ TRIANGLE_STALL_TOL = 2e-3
 TRIANGLE_CAP_PER_VERTEX = 3
 TRIANGLE_REACH = 0.6
 POLYAK_MARGIN = 1e-3
-# int64 enumeration is safe while max |w| * N^2 stays under this.
+# Enumeration runs in float64 while max |w| * N^2 stays under the first
+# limit, and in int64 while it stays under the second.
+ENUM_FLOAT_LIMIT = 1 << 53
 ENUM_INT64_LIMIT = 1 << 60
 # Cuts held in memory at once by enumeration.
 ENUM_BLOCK = 1 << 16
@@ -207,6 +219,20 @@ def _sign_table(bits: int, dtype) -> np.ndarray:
     return (1 - 2 * ((codes >> np.arange(bits, dtype=np.int64)) & 1)).astype(dtype)
 
 
+def _enum_dtype(max_w: int, n: int):
+    """Array type that enumerates n vertices of weight at most max_w exactly.
+
+    Every intermediate of ``enumerate_maxcut`` is an integer of magnitude
+    at most max_w n^2.  float64 (on BLAS) is exact below 2^53, int64
+    (numpy's own integer loops) is kept below ``ENUM_INT64_LIMIT``, and
+    Python integers (``object``) are exact at any size.
+    """
+    span = max_w * n * n
+    if span < ENUM_FLOAT_LIMIT:
+        return np.float64
+    return np.int64 if span < ENUM_INT64_LIMIT else object
+
+
 def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     """Exact maximum cut by enumeration; returns (value, mask).
 
@@ -214,14 +240,16 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     free vertices split into a low half (with vertex 0) and a high half,
     and every cut is the quadratic form of its two half sign vectors:
 
-        4 cut = 2 total - (q_high + q_low + 2 s_high W[high, low] s_low).
+        4 cut = 2 total - quad,
+        quad = q_high + q_low + 2 s_high W[high, low] s_low.
 
-    Row-major order of the (high code, low code) table is code order, so
-    taking the first maximum block by block gives the first maximizer.
-    Blocks of high codes keep at most about ``ENUM_BLOCK`` cuts in memory.
-    Arithmetic is int64 while every intermediate, at most
-    2 max|w| n^2, stays representable, and exact Python integers
-    otherwise.  Weights are symmetric with a zero diagonal.
+    One matrix product per block of high codes gives quad: the high rows
+    carry (s_high, q_high, 1) and the low columns (2 W[high, low] s_low,
+    1, q_low).  Row-major order of the (high code, low code) table is code
+    order, so the first minimum of quad, block by block, is the first
+    maximizer.  Blocks keep at most about ``ENUM_BLOCK`` cuts in memory.
+    The array type comes from ``_enum_dtype``, so every sum is an exact
+    integer.  Weights are symmetric with a zero diagonal.
     """
     if isinstance(instance_or_weights, MaxCutInstance):
         weights = [list(row) for row in instance_or_weights.weights]
@@ -234,7 +262,7 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
         return 0, 0
     total = sum(weights[i][j] for i in range(n) for j in range(i + 1, n))
     max_w = max((abs(weights[i][j]) for i in range(n) for j in range(i + 1, n)), default=0)
-    dtype = np.int64 if max_w * n * n < ENUM_INT64_LIMIT else object
+    dtype = _enum_dtype(max_w, n)
     w = np.array(weights, dtype=dtype)
     low = (n - 1) // 2
     split = low + 1
@@ -242,20 +270,20 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     s_high = _sign_table(n - split, dtype)
     q_low = ((s_low @ w[:split, :split]) * s_low).sum(axis=1)
     q_high = ((s_high @ w[split:, split:]) * s_high).sum(axis=1)
-    w_cross = w[split:, :split] @ s_low.T
+    high = np.hstack([s_high, q_high[:, None], np.ones((len(s_high), 1), dtype=dtype)])
+    low_cols = np.vstack([2 * (w[split:, :split] @ s_low.T),
+                          np.ones((1, len(s_low)), dtype=dtype), q_low[None, :]])
     rows = max(1, ENUM_BLOCK >> low)
-    best_val = None
+    best_quad = None
     best_code = 0
-    for start in range(0, len(s_high), rows):
-        stop = start + rows
-        quad = q_high[start:stop, None] + q_low[None, :] + 2 * (s_high[start:stop] @ w_cross)
-        cuts = (2 * total - quad) // 4
-        at = int(np.argmax(cuts))
-        value = int(cuts.flat[at])
-        if best_val is None or value > best_val:
-            best_val = value
+    for start in range(0, len(high), rows):
+        quad = high[start:start + rows] @ low_cols
+        at = int(np.argmin(quad))
+        value = int(quad.flat[at])
+        if best_quad is None or value < best_quad:
+            best_quad = value
             best_code = (start << low) + at
-    return best_val, best_code << 1
+    return (2 * total - best_quad) // 4, best_code << 1
 
 
 @cache
@@ -322,7 +350,11 @@ class _Search:
         trace,
     ):
         self.budget = budget
-        self.leaf_order = LEAF_SIZE
+        # Contraction only sums entries, so no node weighs more than the
+        # instance's total absolute weight: that decides the leaf's tier.
+        width = sum(abs(w) for row in instance.weights for w in row) // 2
+        wide = _enum_dtype(width, LEAF_SIZE) is not np.float64
+        self.leaf_order = min(LEAF_SIZE, WIDE_LEAF_SIZE) if wide else LEAF_SIZE
         self.seed = seed
         self.trace = trace
 

@@ -13,10 +13,12 @@ import os
 import random
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from cheeger import maxcut
 from cheeger.bounds import global_sdp_bound
 from cheeger.dinkelbach import dinkelbach_solve, evaluate_q
 from cheeger.graphs import (
@@ -45,12 +47,17 @@ from cheeger.transforms import (
 SPECTRAL_TOL = 1e-5       # gate 2: relaxation value vs eigenvalue bound
 TABLE_SDP_TOL = 1e-4      # gate 9: published per-instance bound values
 ORACLE_TIME_BUDGET = 600.0  # gate 1: seconds
+# Gates 1 and 7 draw max-cut instances of 5 to 23 vertices, which the
+# default leaf size closes by enumeration at their roots; leaves of 4
+# send every one of them through node bounds and branching instead.
+ENGINE_LEAF_SIZE = 4
 
 # sha256 of canonical_json for two fixed solves (gate 10).  Any change to
 # the search order, the rounding or the reductions moves them; re-pin only
-# when the output is meant to change.
+# when the output is meant to change.  The Dinkelbach engine instance of
+# C_19 has 28 vertices, above the leaf size, so its pin covers branching.
 PINNED_SPLIT_C14_DIGEST = "c8022c655d79c661ac91574ca24dddf7cdbab2a14c27daddcc6b9cb4936a5682"
-PINNED_DINKELBACH_C16_DIGEST = "b3e722ca67a3a854bda015e105a36de75a536063b22163b4363284e6b65b38f9"
+PINNED_DINKELBACH_C19_DIGEST = "3985e986f560e4c3361dbe457e5265c300d80f6d4dcf8f9512fe808164d351c0"
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -68,6 +75,10 @@ def _random_cases():
     return cases
 
 
+def _small_leaves():
+    return patch.object(maxcut, "LEAF_SIZE", ENGINE_LEAF_SIZE)
+
+
 @functools.lru_cache(maxsize=1)
 def _oracle_sweep():
     """Gate 1 workload, cached so gate 10 can diff a fresh repetition."""
@@ -75,8 +86,9 @@ def _oracle_sweep():
     started = time.monotonic()
     for n, p, gseed, seed in _random_cases():
         g = gnp(n, p, seed=gseed)
-        rs = split_and_bound(g, seed=seed)
-        rd = dinkelbach_solve(g, seed=seed)
+        with _small_leaves():
+            rs = split_and_bound(g, seed=seed)
+            rd = dinkelbach_solve(g, seed=seed)
         hb, _ = brute_force_h(g)
         runs.append((rs, rd, hb))
     return runs, time.monotonic() - started
@@ -84,6 +96,7 @@ def _oracle_sweep():
 
 def test_01_end_to_end_oracle_equivalence():
     runs, elapsed = _oracle_sweep()
+    assert sum(rs.nodes + rd.nodes for rs, rd, _ in runs) > 2 * len(runs)
     for rs, rd, hb in runs:
         assert rs.status == "solved" and rd.status == "solved"
         assert rs.upper == rd.upper == hb
@@ -216,26 +229,29 @@ def _random_instances():
     return instances
 
 
+def _engine_solve(inst, seed, initial_lb=None):
+    with _small_leaves():
+        return solve_maxcut(inst, initial_lb=initial_lb, seed=seed)
+
+
 @functools.lru_cache(maxsize=1)
 def _engine_sweep():
     """Gate 7 workload, cached so gate 10 can diff a fresh repetition."""
-    outcomes = []
-    for trial, inst in enumerate(_random_instances()):
-        res = solve_maxcut(inst, seed=trial)
-        outcomes.append(res)
-    return outcomes
+    return [_engine_solve(inst, trial) for trial, inst in enumerate(_random_instances())]
 
 
 def test_07_maxcut_engine_exactness():
-    for trial, (inst, res) in enumerate(zip(_random_instances(), _engine_sweep())):
+    outcomes = _engine_sweep()
+    assert sum(res.nodes for res in outcomes) > len(outcomes)
+    for trial, (inst, res) in enumerate(zip(_random_instances(), outcomes)):
         opt, _ = enumerate_maxcut(inst)
         assert res.status == "optimal" and res.value == opt, trial
         assert inst.cut_weight(res.mask) == opt
-        below = solve_maxcut(inst, initial_lb=opt - 1, seed=trial)
+        below = _engine_solve(inst, trial, initial_lb=opt - 1)
         assert below.status == "optimal" and below.value == opt
-        at = solve_maxcut(inst, initial_lb=opt, seed=trial)
+        at = _engine_solve(inst, trial, initial_lb=opt)
         assert at.value == opt and at.mask is None
-        above = solve_maxcut(inst, initial_lb=opt + 3, seed=trial)
+        above = _engine_solve(inst, trial, initial_lb=opt + 3)
         assert above.status == "bound-stop" and above.value == opt + 3
 
 
@@ -267,12 +283,13 @@ def test_10_deterministic_reports():
     first, _ = _oracle_sweep()
     for (n, p, gseed, seed), (rs, rd, _) in zip(_random_cases(), first):
         g = gnp(n, p, seed=gseed)
-        again_s = split_and_bound(g, seed=seed)
-        again_d = dinkelbach_solve(g, seed=seed)
+        with _small_leaves():
+            again_s = split_and_bound(g, seed=seed)
+            again_d = dinkelbach_solve(g, seed=seed)
         assert canonical_json(again_s) == canonical_json(rs)
         assert canonical_json(again_d) == canonical_json(rd)
     for trial, (inst, res) in enumerate(zip(_random_instances(), _engine_sweep())):
-        again = solve_maxcut(inst, seed=trial)
+        again = _engine_solve(inst, trial)
         assert (again.value, again.mask, again.status, again.nodes,
                 again.best_bound) == (res.value, res.mask, res.status,
                                       res.nodes, res.best_bound)
@@ -280,8 +297,8 @@ def test_10_deterministic_reports():
 
 def test_10_report_digests_are_pinned():
     split = split_and_bound(cycle(14), seed=0)
-    ratio = dinkelbach_solve(cycle(16), seed=0)
-    assert ratio.nodes == 51
+    ratio = dinkelbach_solve(cycle(19), seed=0)
+    assert ratio.nodes == 63
     for report, digest in ((split, PINNED_SPLIT_C14_DIGEST),
-                           (ratio, PINNED_DINKELBACH_C16_DIGEST)):
+                           (ratio, PINNED_DINKELBACH_C19_DIGEST)):
         assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cheeger import dinkelbach, split_bound
+from cheeger import dinkelbach, maxcut, split_bound
 from cheeger.cli import main
 from cheeger.graphs import (
     Graph,
@@ -217,18 +217,20 @@ def test_bounds_single_cardinality_matches_brute_force(tmp_path, capsys, n, p, s
             0, k, Fraction(exact, k), Fraction(exact, k), "solved")
 
 
-def test_bounds_single_cardinality_limit_brackets_the_optimum(tmp_path, capsys):
-    # Nineteen engine vertices exceed the leaf size, so the root node is
-    # bounded, and with no time left the search stops there.
-    g = gnp(18, 0.4, seed=1)
+def test_bounds_single_cardinality_limit_brackets_the_optimum(tmp_path, capsys, bounded):
+    # The engine instance has one vertex more than the graph, so its root
+    # is a bounded node, and a node limit of 1 stops the search there.
+    # With no time at all, the search stops before its root.
+    g = gnp(maxcut.LEAF_SIZE, 0.4, seed=1)
     path = tmp_path / "g.graph"
     path.write_text(dump_graph(g))
     for k in (3, 5):
         exact, _ = brute_force_bisection(g, k)
-        code, row_k, lower, upper, status = _bounds_k_row(
-            path, k, capsys, "--time-limit", "0")
-        assert (code, row_k, status) == (3, k, "pending")
-        assert lower <= Fraction(exact, k) <= upper
+        for limit in (("--node-limit", "1"), ("--time-limit", "0")):
+            code, row_k, lower, upper, status = _bounds_k_row(path, k, capsys, *limit)
+            assert (code, row_k, status) == (3, k, "pending"), limit
+            assert lower <= Fraction(exact, k) <= upper
+    assert bounded == [0, 0]
 
 
 def test_bounds_single_cardinality_checks_the_witness(tmp_path, capsys, monkeypatch):

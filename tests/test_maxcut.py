@@ -44,6 +44,19 @@ def _random_instance(rng, n, lo=-10, hi=10, density=0.7):
     return MaxCutInstance.build(w)
 
 
+def _above_leaf(extra, seed=0):
+    """Random weights on ``extra`` vertices more than the leaf size."""
+    return _random_instance(random.Random(seed), maxcut.LEAF_SIZE + extra)
+
+
+def _optimum(inst):
+    """Exact max cut one vertex past the enumeration cap, by both folds of vertex 1."""
+    if inst.n <= 24:
+        return enumerate_maxcut(inst)[0]
+    folds = (contract_pair(inst.weights, 1, rel) for rel in (1, -1))
+    return max(enumerate_maxcut(w)[0] + shift for w, shift in folds)
+
+
 def _brute_maxcut(inst):
     best = 0
     for mask in range(1 << (inst.n - 1)):
@@ -123,6 +136,56 @@ def test_enumerate_wide_weights_agree_with_scaled_instance():
     assert wide_mask == mask
 
 
+def _scaled(weights, shift):
+    return [[w << shift for w in row] for row in weights]
+
+
+def _shift_into(limit, max_w, n):
+    """Least shift that lifts max_w n^2 to at least ``limit``."""
+    return max(0, limit.bit_length() - (max_w * n * n).bit_length())
+
+
+def test_enumeration_tiers_agree_up_to_the_leaf_size():
+    # W runs in float64; W 2^a is lifted into the int64 tier and W 2^b
+    # into the Python-integer tier.  Same mask, values scaled exactly.
+    # The Python tier is checked up to the wide leaf, the largest order
+    # a search enumerates in it; one call takes 0.3 s at 19 vertices and
+    # 4 s at 23.
+    rng = random.Random(2)
+    for n in range(2, maxcut.LEAF_SIZE + 1):
+        w = [list(row) for row in _random_instance(rng, n).weights]
+        w[0][1] = w[1][0] = max_w = 10
+        assert maxcut._enum_dtype(max_w, n) is np.float64
+        value, mask = enumerate_maxcut(w)
+        tiers = [(np.int64, _shift_into(maxcut.ENUM_FLOAT_LIMIT, max_w, n))]
+        if n <= maxcut.WIDE_LEAF_SIZE:
+            tiers.append((object, _shift_into(maxcut.ENUM_INT64_LIMIT, max_w, n)))
+        for dtype, shift in tiers:
+            assert maxcut._enum_dtype(max_w << shift, n) is dtype
+            assert enumerate_maxcut(_scaled(w, shift)) == (value << shift, mask), (n, dtype)
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_enumeration_is_exact_at_the_float_bound(above):
+    # 16^2 max|w| is 2^53 - 256 at max|w| = 2^45 - 1, the widest weight
+    # the float tier takes; one unit more moves it to int64.  Weights
+    # within 2 of max|w| keep low bits set, so any rounding would show,
+    # and with every weight -max|w| the uncut side reaches quad = -n(n-1)
+    # max|w|, the largest sum of all.
+    n = 16
+    max_w = (1 << 45) - 1 + above
+    assert maxcut._enum_dtype(max_w, n) is (np.int64 if above else np.float64)
+    rng = random.Random(45)
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = rng.choice((1, -1)) * (max_w - rng.randint(0, 2))
+    w[0][1] = w[1][0] = max_w
+    assert enumerate_maxcut(w) == _seed_enumerate_maxcut(w)
+    flat = [[-max_w * (i != j) for j in range(n)] for i in range(n)]
+    assert enumerate_maxcut(flat) == (0, 0)
+
+
 def _seed_cut_from_signs(weights, signs):
     cut = 0
     n = len(weights)
@@ -185,13 +248,30 @@ def _weights(draw, min_n=1, max_n=12, scales=(1, 1 << 50)):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_weights())
+@given(_weights(scales=(1, 1 << 47, 1 << 50)))
 def test_enumerate_matches_seed_enumeration(w):
     # Same value and the same (first in code order) maximizer as the full
-    # table, on both the int64 and the big-integer path.
+    # table, on the float64, the int64 and the big-integer path.
     value, mask = enumerate_maxcut(w)
     assert (value, mask) == _seed_enumerate_maxcut(w)
     assert type(value) is int and type(mask) is int
+
+
+def test_first_maximizer_spans_blocks():
+    # At 18 vertices the high codes (vertices 9-17) come in two blocks.
+    # With weights among vertices 0-8 only, every high code ties, so the
+    # first maximizer lies in the first block, on every tier.
+    n = 18
+    rng = random.Random(9)
+    w = [[0] * n for _ in range(n)]
+    for i in range(9):
+        for j in range(i + 1, 9):
+            w[i][j] = w[j][i] = rng.randint(-3, 3)
+    value, mask = enumerate_maxcut(w)
+    assert (value, mask) == _seed_enumerate_maxcut(w)
+    assert mask >> 9 == 0
+    for shift in (50, 62):
+        assert enumerate_maxcut(_scaled(w, shift)) == (value << shift, mask)
 
 
 def _seed_improve_cut(weights, signs):
@@ -343,6 +423,30 @@ def test_solver_matches_enumeration(w, seed):
     assert inst.cut_weight(res.mask) == reference
 
 
+@pytest.mark.parametrize("shift", [0, 61])
+def test_leaf_size_follows_the_enumeration_tier(monkeypatch, bounded, shift):
+    # A 20-cycle is one float64 leaf.  Scaled by 2^61 its enumeration
+    # needs Python integers, in which a leaf of LEAF_SIZE vertices takes
+    # about 4 s, so that search bounds its root and keeps the smaller
+    # leaves of WIDE_LEAF_SIZE.
+    sizes = []
+    original = maxcut.enumerate_maxcut
+
+    def recording(weights):
+        sizes.append(len(weights))
+        return original(weights)
+
+    monkeypatch.setattr(maxcut, "enumerate_maxcut", recording)
+    ring = _instance_from_graph(cycle(20)).weights
+    res = solve_maxcut(MaxCutInstance.build(_scaled(ring, shift)))
+    assert (res.value, res.status) == (20 << shift, "optimal")
+    if not shift:
+        assert (bounded, sizes) == ([], [20])
+    else:
+        assert bounded[:1] == [0]
+        assert sizes and max(sizes) <= maxcut.WIDE_LEAF_SIZE
+
+
 def test_bisection_instance_of_path_graph():
     red = bisection_to_maxcut(path(3), 1, Fraction(1))
     res = solve_maxcut(red.instance)
@@ -399,21 +503,25 @@ def test_bisection_root_prune_with_tight_bound():
 # -- resource limits -------------------------------------------------------
 
 
-def test_node_limit_reports_partial_result():
-    red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
-    res = solve_maxcut(red.instance, budget=Budget(node_limit=2))
+def test_node_limit_reports_partial_result(bounded):
+    # Two vertices above the leaf size: the root and both children are
+    # bounded, and the limit stops the search with the children open.
+    inst = _above_leaf(2)
+    res = solve_maxcut(inst, budget=Budget(node_limit=2))
     assert res.status == "limit"
-    assert res.value <= 9948
-    assert res.best_bound >= 9948
+    assert bounded[:1] == [0]
+    assert res.value <= _optimum(inst) <= res.best_bound
 
 
-def test_searches_share_one_budget():
+def test_searches_share_one_budget(bounded):
     # The second search starts with the budget already spent: it admits
     # no root and charges nothing.
-    red = dinkelbach_to_maxcut(cycle(14), Fraction(2, 7))
+    inst = _above_leaf(2)
     budget = Budget(node_limit=3)
-    first = solve_maxcut(red.instance, budget=budget)
-    second = solve_maxcut(red.instance, budget=budget)
+    first = solve_maxcut(inst, budget=budget)
+    assert bounded == [0, 1, 2]
+    second = solve_maxcut(inst, budget=budget)
+    assert bounded == [0, 1, 2]
     assert (first.status, first.nodes) == ("limit", 3)
     assert (second.status, second.nodes) == ("limit", 0)
     assert (second.value, second.mask, second.best_bound) == (0, 0, math.inf)
@@ -474,11 +582,11 @@ def test_same_seed_same_search(monkeypatch):
 
 @pytest.mark.parametrize("failing_call", [2, 4])
 def test_worker_failure_propagates(monkeypatch, failing_call):
-    # A clean run on this instance explores about fifty nodes.  The bound of
-    # a child node (the second or the fourth bound computed) fails; the
-    # search loop must stop and re-raise rather than report "optimal" with
-    # a subtree never explored.
-    red = dinkelbach_to_maxcut(cycle(16), Fraction(1, 4))
+    # Three vertices above the leaf size, a clean run on this instance
+    # bounds seven nodes.  The bound of a child node (the second or the
+    # fourth bound computed) fails; the search loop must stop and re-raise
+    # rather than report "optimal" with a subtree never explored.
+    inst = _above_leaf(3)
     original = maxcut._Search._bound
     calls = []
 
@@ -490,7 +598,7 @@ def test_worker_failure_propagates(monkeypatch, failing_call):
 
     monkeypatch.setattr(maxcut._Search, "_bound", failing_bound)
     with pytest.raises(RuntimeError, match="^injected bound failure$"):
-        solve_maxcut(red.instance)
+        solve_maxcut(inst)
     assert len(calls) == failing_call
     assert calls[:2] == [0, 1]
     assert len(set(calls)) == failing_call

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheeger import bounds
+from cheeger import bounds, maxcut
 from cheeger.graphs import brute_force_bisection, complete, cycle, gnp, laplacian
 from cheeger.maxcut import _signed_laplacian, enumerate_maxcut, solve_maxcut
 from cheeger.sdp import (
@@ -225,13 +225,15 @@ def test_nan_objective_raises():
             sdp_solve(prob)
 
 
-def test_overflowing_objective_raises_before_iterating():
+def test_overflowing_objective_raises_before_iterating(bounded):
     # Past about 1e154 the Frobenius norm that scales the objective
     # overflows; the solve refuses the problem up front, without warnings.
+    # One vertex above the leaf size, the engine bounds its root.
+    n = maxcut.LEAF_SIZE + 1
     rng = np.random.default_rng(520)
-    w = [[0] * 20 for _ in range(20)]
-    for i in range(20):
-        for j in range(i + 1, 20):
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
             w[i][j] = w[j][i] = int(rng.integers(-5, 6)) << 520
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -239,6 +241,7 @@ def test_overflowing_objective_raises_before_iterating():
             sdp_solve(UnitDiagonalSdp(np.full((3, 3), 1e160)))
         with pytest.raises(SdpError, match="overflows"):
             solve_maxcut(MaxCutInstance.build(w))
+    assert bounded == [0]
 
 
 def test_slack_rows_enforce_inequalities():
