@@ -6,10 +6,10 @@ Three bounds live here, in increasing cost:
 * ``global_sdp_bound``: the semidefinite relaxation over all admissible
   vertex subsets at once.  Its optimum coincides with the spectral bound,
   read off a dual certificate instead of an eigensolve.
-* ``cheap_bisection_bound``: an arrow-structured relaxation of the
-  cardinality-k bisection, rounded up to the next integer cut value and
-  divided by k.  This is the workhorse the subset-size elimination loop
-  calls once per cardinality.
+* ``cheap_bisection_bound``: the relaxation of the cardinality-k
+  bisection on its minimal face (``sdp.BisectionSdp``), rounded up to
+  the next integer cut value and divided by k.  This is the workhorse
+  the subset-size elimination loop calls once per cardinality.
 
 All SDP-derived numbers pass through dual certificates, so a returned
 bound is safe even when the interior-point iteration stops early.
@@ -63,7 +63,7 @@ def global_sdp_bound(g: Graph) -> float:
 def cheap_bisection_bound(g: Graph, k: int) -> Fraction:
     """Exact-rational lower bound on cut(S)/k over subsets of size k.
 
-    Solves the arrow-structured relaxation of the k-bisection, certifies
+    Solves the face-reduced relaxation of the k-bisection, certifies
     its value from the dual, rounds up to the next integer cut (cuts are
     integers), and clamps at 1 (every cut of a connected graph has at
     least one edge).  The result is a Fraction with denominator k.
@@ -90,11 +90,10 @@ def fallback_bisection_bound(g: Graph, k: int, half_lambda: float) -> Fraction:
 def bisection_sdp_bound(g: Graph, k: int) -> float:
     """Certified lower bound on the cardinality-k bisection cut value.
 
-    The relaxation is ``BisectionSdp`` with the Laplacian in its Y block;
-    every feasible X has trace 1 + k, which caps the dual certificate.
+    The relaxation is ``BisectionSdp`` with the Laplacian as objective;
+    every feasible W has trace k, which caps the dual certificate.  The
+    solve stops once the certificate's next integer is settled, which is
+    all that ``cheap_bisection_bound`` reads.
     """
-    d = g.n + 1
-    obj = np.zeros((d, d))
-    obj[1:, 1:] = laplacian(g)
-    sol = sdp_solve(BisectionSdp(obj, k))
-    return sol.certified_lower_bound(1.0 + k)
+    sol = sdp_solve(BisectionSdp(laplacian(g), k), settle_trace=k)
+    return sol.certified_lower_bound(k)

@@ -15,11 +15,12 @@ The iteration reads a problem only through five members:
 ``schur(z_inv, x)`` (the matrix M) and ``start(c)`` (the first
 (X, y, Z) for the scaled objective c).  Three problem types supply them:
 
-- ``BisectionSdp`` (the arrow-structured rows of the cardinality-k
-  bisection, applied from their structure) serves the cheap
-  per-cardinality bound, and ``DenseSdp`` (a few dense rows held as one
-  array) the global bound.  Both start infeasible at (xi I, 0, eta I).
-  ``DenseSdp`` is also the tests' reference for the structured types.
+- ``DenseSdp`` (a few dense rows held as one array) serves the global
+  bound and is the tests' reference rows; it starts infeasible at
+  (xi I, 0, eta I).
+- ``BisectionSdp`` (the cardinality-k bisection on its minimal face,
+  rows applied from their structure) serves the cheap per-cardinality
+  bound and starts strictly feasible, in closed form.
 - ``UnitDiagonalSdp`` (the max-cut rows diag(X) = 1, applied
   elementwise, so M = Z^-1 o X) starts feasible: X = I, and a Gershgorin
   y makes Z = C - Diag(y) positive definite, as in Biq Mac (Rendl,
@@ -66,13 +67,6 @@ class SdpError(RuntimeError):
     """Unrecoverable numerical failure inside the kernel."""
 
 
-def _infeasible_start(n: int, rhs: np.ndarray, norms: np.ndarray, c: np.ndarray):
-    """(xi I, 0, eta I), sized to b, the row norms and c."""
-    xi = n * max(1.0, float(np.max((1.0 + np.abs(rhs)) / (1.0 + norms))))
-    eta = max(1.0, float(np.max(norms)), float(np.linalg.norm(c)))
-    return xi * np.eye(n), np.zeros(len(rhs)), eta * np.eye(n)
-
-
 class DenseSdp:
     """min <C, X> s.t. <A_i, X> = b_i, X PSD, for a few dense rows.
 
@@ -99,68 +93,64 @@ class DenseSdp:
         return _sym(self._flat @ prods.T)
 
     def start(self, c: np.ndarray):
-        return _infeasible_start(self.dim, self.rhs, np.linalg.norm(self._flat, axis=1), c)
+        """The infeasible (xi I, 0, eta I), sized to b, the row norms and c."""
+        n = self.dim
+        norms = np.linalg.norm(self._flat, axis=1)
+        xi = n * max(1.0, float(np.max((1.0 + np.abs(self.rhs)) / (1.0 + norms))))
+        eta = max(1.0, float(np.max(norms)), float(np.linalg.norm(c)))
+        return xi * np.eye(n), np.zeros(len(self.rhs)), eta * np.eye(n)
 
 
 class BisectionSdp:
-    """The arrow-structured relaxation of the cardinality-k bisection.
+    """The cardinality-k bisection relaxation on its minimal face.
 
-    Over X = [[1, x^T], [x, Y]] of order d = n + 1, the n + 3 rows are,
-    in order, X_00 = 1, tr Y = k, <J, Y> = k^2 and X_ii - X_0i = 0 for
-    i = 1..n.  They are applied from that structure, at O(n^2) per call
-    besides one matrix product in ``schur``.  The relaxation has no
-    interior point (X (-k, e) = 0 for every feasible X), so the start is
-    the infeasible (xi I, 0, eta I).
+    The rows X_00 = 1, tr Y = k, <J, Y> = k^2 and X_ii = X_0i over
+    X = [[1, x^T], [x, Y]] force X (-k, e) = 0, so every feasible X is
+    V W V^T with V = [e^T/k ; I_n] and W = Y PSD of order n (Wolkowicz &
+    Zhao, Discrete Appl. Math. 1999).  Over W the n + 1 rows are, in
+    order, <J, W> = k^2 and k W_ii - (W e)_i = 0; tr W = k follows.  ``c``
+    is the Y block of the objective; rows apply at O(n^2) per call.
     """
 
     def __init__(self, c: np.ndarray, k: int):
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.shape[0]
-        n = self.dim - 1
-        self.rhs = np.concatenate(([1.0, float(k), float(k * k)], np.zeros(n)))
-        # Frobenius norms of E_00, I_B, J_B and E_ii - (E_0i + E_i0)/2.
-        self._norms = np.concatenate(([1.0, math.sqrt(n), float(n)], np.full(n, math.sqrt(1.5))))
+        self.k = k
+        self.rhs = np.concatenate(([float(k * k)], np.zeros(self.dim)))
 
     def op_a(self, x: np.ndarray) -> np.ndarray:
-        diag = np.diagonal(x)[1:]
-        head = [x[0, 0], diag.sum(), x[1:, 1:].sum()]
-        return np.concatenate((head, diag - 0.5 * (x[0, 1:] + x[1:, 0])))
+        # x may be unsymmetric: (W e)_i pairs with its mean row and column sum.
+        sums = 0.5 * (x.sum(axis=0) + x.sum(axis=1))
+        return np.concatenate(([sums.sum()], self.k * np.diagonal(x) - sums))
 
     def op_at(self, y: np.ndarray) -> np.ndarray:
-        d = self.dim
-        out = np.full((d, d), y[2])
-        out[0, 0] = y[0]
-        out[0, 1:] = out[1:, 0] = -0.5 * y[3:]
-        i = np.arange(1, d)
-        out[i, i] = (y[1] + y[2]) + y[3:]
+        v = y[1:]
+        out = y[0] - 0.5 * (v[:, None] + v[None, :])
+        out[np.diag_indices(self.dim)] += self.k * v
         return out
 
     def schur(self, z_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """M_ij = <A_i, W A_j X> with W = Z^-1, from the row structure.
-
-        The columns of E_00, I_B and J_B are A applied to W A_j X, an
-        outer product, a matrix product and an outer product.  For the
-        coordinate rows A_i = E_ii - (E_0i + E_i0)/2, P = W A_i X has
-        P_ab = W_ai X_ib - (W_a0 X_ib + W_ai X_0b)/2, so row r of that
-        column, P_rr - (P_0r + P_r0)/2, is elementwise in the symmetric
-        W and X.  M is symmetric, which fills in the remaining block.
-        """
-        w = z_inv
-        m = len(self.rhs)
-        mat = np.empty((m, m))
-        mat[:, 0] = self.op_a(np.outer(w[:, 0], x[0]))
-        mat[:, 1] = self.op_a(w[:, 1:] @ x[1:])
-        mat[:, 2] = self.op_a(np.outer(w[:, 1:].sum(axis=1), x[1:].sum(axis=0)))
-        mat[:3, 3:] = mat[3:, :3].T
-        wb, xb, w0, x0 = w[1:, 1:], x[1:, 1:], w[1:, 0], x[1:, 0]
-        p_rr = wb * xb - 0.5 * (w0[:, None] * xb + wb * x0[:, None])
-        p_0r = xb * w0 - 0.5 * (w[0, 0] * xb + np.outer(x0, w0))
-        p_r0 = wb * x0 - 0.5 * (np.outer(w0, x0) + x[0, 0] * wb)
-        mat[3:, 3:] = p_rr - 0.5 * (p_0r + p_r0)
+        """M_ij = <A_i, W A_j X> with W = Z^-1, A_0 = J and A_i = k E_ii -
+        (e_i e^T + e e_i^T)/2: elementwise in W, X, u = W e and s = X e."""
+        k, w = self.k, z_inv
+        u, s = w.sum(axis=1), x.sum(axis=1)
+        su, ss = u.sum(), s.sum()
+        mat = np.empty((self.dim + 1, self.dim + 1))
+        mat[0, 0] = su * ss
+        mat[0, 1:] = mat[1:, 0] = k * u * s - 0.5 * (u * ss + s * su)
+        mat[1:, 1:] = (k * k) * w * x - (0.5 * k) * (
+            w * (s[:, None] + s[None, :]) + x * (u[:, None] + u[None, :])
+        ) + 0.25 * (np.outer(u, s) + np.outer(s, u) + su * x + ss * w)
         return _sym(mat)
 
     def start(self, c: np.ndarray):
-        return _infeasible_start(self.dim, self.rhs, self._norms, c)
+        """Strictly feasible: W = a I + b J, the mean of chi_S chi_S^T over
+        the size-k sets S, and y = -t 1, so A^T y = -t k I and Z = c + t k I."""
+        n, k = self.dim, self.k
+        a = k * (n - k) / (n * (n - 1))
+        b = k * (k - 1) / (n * (n - 1))
+        t = (1.0 + float(np.linalg.norm(c))) / k
+        return a * np.eye(n) + b, np.full(n + 1, -t), c + t * k * np.eye(n)
 
 
 class UnitDiagonalSdp:
@@ -208,7 +198,7 @@ class SdpSolution:
     z: np.ndarray
     primal_obj: float
     dual_obj: float
-    status: str  # optimal | max_iterations | numerical_failure
+    status: str  # optimal | settled | max_iterations | numerical_failure
     rel_gap: float
     primal_res: float
     dual_res: float
@@ -331,13 +321,20 @@ def _max_identity_step(a: np.ndarray) -> float:
 
 
 def sdp_solve(
-    prob: Problem, tol: float = SDP_TOL, max_iterations: int = 100
+    prob: Problem,
+    tol: float = SDP_TOL,
+    max_iterations: int = 100,
+    settle_trace: float | None = None,
 ) -> SdpSolution:
     """Run the interior-point iteration; always returns a usable solution.
 
     The status is honest: "optimal" only when the relative gap and the
-    residuals fall below tol.  Callers needing safe bounds should go
-    through SdpSolution.certified_lower_bound regardless of status.
+    residuals fall below tol; "settled", with ``settle_trace`` (a trace
+    bound for every feasible X), once the primal residual is below tol and
+    the certificate rounds up (``ceil_certified``) to the primal
+    objective's integer, which no later iterate can raise.  Callers
+    needing safe bounds should go through SdpSolution.certified_lower_bound
+    regardless of status.
     """
     n = prob.dim
     b = prob.rhs
@@ -354,23 +351,30 @@ def sdp_solve(
         raise SdpError("objective norm overflows: entries too large to scale")
     c = prob.c / scale
 
+    def settled(x, y) -> bool:
+        # The certificate never exceeds b.y: no eigensolve until b.y alone
+        # reaches the primal objective's integer.
+        target = ceil_certified(float(np.vdot(prob.c, x)))
+        dual_obj = float(b @ (scale * y))
+        if ceil_certified(dual_obj) < target:
+            return False
+        cert = dual_obj + min(0.0, _slack_min_eig(prob, scale * y)) * settle_trace
+        return ceil_certified(cert) >= target
+
     # Problems lacking a strictly feasible point can send the dual running
     # away; overflow is silenced here, detected by the finiteness guard or
     # the except clause, and answered by falling back to the best iterate,
     # whose certificate is valid for any dual vector.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         status, it, (x, y, z, rel_out, pres_out, dres_out) = _iterate(
-            prob, c, b, tol, max_iterations
+            prob, c, b, tol, max_iterations, None if settle_trace is None else settled
         )
-    if status != "optimal":
+    if status not in ("optimal", "settled"):
         log.info("sdp_solve: %s after %d iterations (relgap %.2e)", status, it, rel_out)
 
     # Undo the objective scaling: y pairs with C = scale * c, so the dual
     # certificate for the original data is scale * y.
     y_orig = scale * y
-    slack = prob.c - prob.op_at(y_orig)
-    min_eig = float(np.min(_eigh(_sym(slack), vectors=False)))
-
     return SdpSolution(
         problem=prob,
         x=x,
@@ -383,15 +387,20 @@ def sdp_solve(
         primal_res=pres_out,
         dual_res=dres_out,
         iterations=it,
-        dual_slack_min_eig=min_eig,
+        dual_slack_min_eig=_slack_min_eig(prob, y_orig),
     )
 
 
-def _iterate(prob: Problem, c, b, tol, max_iterations):
+def _slack_min_eig(prob: Problem, y: np.ndarray) -> float:
+    """lambda_min of the exactly recomputed dual slack C - A^T y."""
+    return float(np.min(_eigh(_sym(prob.c - prob.op_at(y)), vectors=False)))
+
+
+def _iterate(prob: Problem, c, b, tol, max_iterations, settled):
     """XZ predictor-corrector from ``prob.start(c)``.
 
     Returns (status, iterations, (x, y, z, rel_gap, pres, dres)) with the
-    last iterate when optimal, else the best one seen.
+    last iterate when optimal or settled(x, y), else the best one seen.
     """
     n = prob.dim
     norm_b = 1.0 + float(np.linalg.norm(b))
@@ -424,6 +433,9 @@ def _iterate(prob: Problem, c, b, tol, max_iterations):
 
         if worst <= tol:
             status = "optimal"
+            break
+        if settled is not None and pres <= tol and settled(x, y):
+            status = "settled"
             break
 
         mu = gap / n
@@ -467,7 +479,7 @@ def _iterate(prob: Problem, c, b, tol, max_iterations):
 
     if best is None:
         raise SdpError("iteration produced no usable point")
-    if status == "optimal":
+    if status in ("optimal", "settled"):
         return status, it, (x, y, z, rel_gap, pres, dres)
     return status, it, best[1:]
 

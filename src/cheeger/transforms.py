@@ -61,22 +61,6 @@ class MaxCutInstance:
                     raise ValueError("weights must be symmetric")
         return cls(n=n, weights=w)
 
-    def cut_weight(self, mask: int) -> int:
-        """Total weight of edges between the mask side and its complement."""
-        if not 0 <= mask < 1 << self.n:
-            raise ValueError("mask out of range")
-        total = 0
-        for i in range(self.n):
-            side_i = mask >> i & 1
-            row = self.weights[i]
-            for j in range(i + 1, self.n):
-                if side_i != (mask >> j & 1):
-                    total += row[j]
-        return total
-
-    def total_weight(self) -> int:
-        return sum(self.weights[i][j] for i in range(self.n) for j in range(i + 1, self.n))
-
 
 def dump_instance(inst: MaxCutInstance, comment: str | None = None) -> str:
     """Serialize an instance as ``n m`` then 1-based ``i j w`` rows.

@@ -1,4 +1,4 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and oracles shared by the test modules."""
 
 import pytest
 
@@ -17,3 +17,18 @@ def bounded(monkeypatch):
 
     monkeypatch.setattr(maxcut._Search, "_bound", counting)
     return ids
+
+
+def cut_weight(inst, mask: int) -> int:
+    """Total weight of the max-cut instance's edges between the mask side
+    and its complement."""
+    if not 0 <= mask < 1 << inst.n:
+        raise ValueError("mask out of range")
+    total = 0
+    for i in range(inst.n):
+        side_i = mask >> i & 1
+        row = inst.weights[i]
+        for j in range(i + 1, inst.n):
+            if side_i != (mask >> j & 1):
+                total += row[j]
+    return total

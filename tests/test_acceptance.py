@@ -44,6 +44,8 @@ from cheeger.transforms import (
     dinkelbach_to_maxcut,
 )
 
+from conftest import cut_weight
+
 SPECTRAL_TOL = 1e-5       # gate 2: relaxation value vs eigenvalue bound
 TABLE_SDP_TOL = 1e-4      # gate 9: published per-instance bound values
 ORACLE_TIME_BUDGET = 600.0  # gate 1: seconds
@@ -246,7 +248,7 @@ def test_07_maxcut_engine_exactness():
     for trial, (inst, res) in enumerate(zip(_random_instances(), outcomes)):
         opt, _ = enumerate_maxcut(inst)
         assert res.status == "optimal" and res.value == opt, trial
-        assert inst.cut_weight(res.mask) == opt
+        assert cut_weight(inst, res.mask) == opt
         below = _engine_solve(inst, trial, initial_lb=opt - 1)
         assert below.status == "optimal" and below.value == opt
         at = _engine_solve(inst, trial, initial_lb=opt)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cheeger import bounds
 from cheeger.bounds import (
     bisection_sdp_bound,
     cheap_bisection_bound,
@@ -106,3 +107,39 @@ def test_cardinality_out_of_range_rejected():
         cheap_bisection_bound(g, 0)
     with pytest.raises(ValueError):
         cheap_bisection_bound(g, 4)
+
+
+# Integer cut bounds ceil(certificate) for k = 1..n/2, recorded from the
+# unreduced relaxation before it moved to its minimal face.
+RECORDED_CUT_BOUNDS = {
+    "C_40": (cycle(40), [1] * 20),
+    "G(24,0.3)#2": (gnp(24, 0.3, seed=2), [3, 6, 9, 12, 15, 17, 20, 22, 24, 25, 26, 27]),
+    "G(32,0.2)#1": (
+        gnp(32, 0.2, seed=1),
+        [2, 4, 5, 7, 9, 11, 13, 15, 17, 18, 20, 21, 22, 23, 23, 24],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_CUT_BOUNDS))
+def test_cheap_bounds_keep_their_recorded_values(name):
+    g, cuts = RECORDED_CUT_BOUNDS[name]
+    got = [cheap_bisection_bound(g, k) for k in range(1, g.n // 2 + 1)]
+    assert got == [Fraction(cut, k) for k, cut in enumerate(cuts, start=1)]
+
+
+def test_cheap_bound_settles_where_the_unreduced_solve_stalled(monkeypatch):
+    # The unreduced relaxation of G(150, 0.05)#1 at k = 2 ran out of its
+    # 100 iterations and fell back to the clamp, 1/1.  On the face it
+    # settles at 3/2.
+    statuses = []
+    solve = bounds.sdp_solve
+
+    def recording_solve(prob, **kwargs):
+        sol = solve(prob, **kwargs)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(bounds, "sdp_solve", recording_solve)
+    assert cheap_bisection_bound(gnp(150, 0.05, seed=1), 2) >= Fraction(3, 2)
+    assert statuses in (["settled"], ["optimal"])

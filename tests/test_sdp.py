@@ -1,6 +1,7 @@
 """Tests for the dense interior-point kernel and its problem types."""
 
 import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheeger import bounds, maxcut
-from cheeger.graphs import brute_force_bisection, complete, cycle, gnp, laplacian
+from cheeger.graphs import (
+    VertexSubset,
+    brute_force_bisection,
+    complete,
+    cut_value,
+    cycle,
+    gnp,
+    laplacian,
+)
 from cheeger.maxcut import _signed_laplacian, enumerate_maxcut, solve_maxcut
 from cheeger.sdp import (
     CERTIFICATE_SLACK,
@@ -74,7 +83,8 @@ def _bisection_objective(g):
 
 
 def _dense_bisection_problem(c, k):
-    """The rows of BisectionSdp written out densely, in the same order."""
+    """The unreduced bisection rows over X = [[1, x^T], [x, Y]], densely:
+    X_00 = 1, tr Y = k, <J, Y> = k^2 and X_ii = X_0i."""
     d = c.shape[0]
     j = np.zeros((d, d))
     j[1:, 1:] = 1.0
@@ -84,6 +94,16 @@ def _dense_bisection_problem(c, k):
         (j, float(k * k)),
     ]
     rows += [(_row(d, [(i, i, 1.0), (0, i, -1.0)]), 0.0) for i in range(1, d)]
+    return _dense(c, rows)
+
+
+def _dense_face_problem(c, k):
+    """The rows of BisectionSdp written out densely, in the same order:
+    <J, W> = k^2 and k W_ii - (W e)_i = 0."""
+    n = c.shape[0]
+    rows = [(np.ones((n, n)), float(k * k))]
+    rows += [(_row(n, [(i, i, float(k))] + [(i, j, -1.0) for j in range(n)]), 0.0)
+             for i in range(n)]
     return _dense(c, rows)
 
 
@@ -108,7 +128,7 @@ def test_bisection_relaxation_bounds_true_bisection():
     g = cycle(6)
     k = 3
     exact, _ = brute_force_bisection(g, k)
-    for prob in (BisectionSdp(_bisection_objective(g), k),
+    for prob in (BisectionSdp(laplacian(g), k),
                  _dense_bisection_problem(_bisection_objective(g), k)):
         sol = sdp_solve(prob, tol=1e-8)
         assert sol.status == "optimal"
@@ -218,9 +238,7 @@ def test_nan_objective_raises():
     # No iterate is usable, so there is no certificate to fall back on.
     obj = np.eye(4)
     obj[1, 2] = obj[2, 1] = np.nan
-    c = np.zeros((5, 5))
-    c[1:, 1:] = obj
-    for prob in (UnitDiagonalSdp(obj), _unit_diagonal_rows(obj), BisectionSdp(c, 2)):
+    for prob in (UnitDiagonalSdp(obj), _unit_diagonal_rows(obj), BisectionSdp(obj, 2)):
         with pytest.raises(SdpError, match="no usable point"):
             sdp_solve(prob)
 
@@ -275,15 +293,17 @@ def _mixed_rows_problem():
 
 def _bisection_pair(n, k):
     """BisectionSdp and its dense rows on G(n, 0.5)."""
-    c = _bisection_objective(gnp(n, 0.5, seed=3))
-    return BisectionSdp(c, k), _dense_bisection_problem(c, k)
+    c = laplacian(gnp(n, 0.5, seed=3))
+    return BisectionSdp(c, k), _dense_face_problem(c, k)
 
 
 @pytest.mark.parametrize("case", ["global", "bisection", "arrow", "mixed"])
 def test_schur_matches_brute_force(case):
     prob, ref_prob = {
         "global": lambda: (_global_expansion_problem(gnp(7, 0.5, seed=3)),) * 2,
-        "bisection": lambda: (_bisection_pair(7, 3)[1],) * 2,
+        "bisection": lambda: (
+            _dense_bisection_problem(_bisection_objective(gnp(7, 0.5, seed=3)), 3),
+        ) * 2,
         "arrow": lambda: _bisection_pair(7, 3),
         "mixed": lambda: (_mixed_rows_problem(),) * 2,
     }[case]()
@@ -322,21 +342,52 @@ def test_bisection_operators_match_dense_rows(n):
     # iteration applies A to unsymmetric matrices).
     rng = np.random.default_rng(n)
     k = int(rng.integers(1, n // 2 + 1))
-    arrow, dense = _bisection_pair(n, k)
-    x = rng.integers(-9, 10, size=(n + 1, n + 1)).astype(float)
-    y = rng.integers(-9, 10, size=n + 3).astype(float)
-    assert np.array_equal(arrow.rhs, dense.rhs)
-    assert np.array_equal(arrow.op_a(x), dense.op_a(x))
-    assert np.array_equal(arrow.op_at(y), dense.op_at(y))
-    for got, ref in zip(arrow.start(arrow.c), dense.start(dense.c)):
-        assert np.array_equal(got, ref)
-    z_inv = np.linalg.inv(_spd(rng, n + 1))
+    face, dense = _bisection_pair(n, k)
+    x = rng.integers(-9, 10, size=(n, n)).astype(float)
+    y = rng.integers(-9, 10, size=n + 1).astype(float)
+    assert np.array_equal(face.rhs, dense.rhs)
+    assert np.array_equal(face.op_a(x), dense.op_a(x))
+    assert np.array_equal(face.op_at(y), dense.op_at(y))
+    z_inv = np.linalg.inv(_spd(rng, n))
     z_inv = (z_inv + z_inv.T) / 2.0
-    spd = _spd(rng, n + 1)
-    got = arrow.schur(z_inv, spd)
+    spd = _spd(rng, n)
+    got = face.schur(z_inv, spd)
     ref = dense.schur(z_inv, spd)
     assert np.array_equal(got, got.T)
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (7, 3), (20, 1), (20, 10), (41, 20)])
+def test_bisection_start_is_strictly_feasible(n, k):
+    prob = BisectionSdp(laplacian(gnp(n, 0.8, seed=n)), k)
+    w, y, z = prob.start(prob.c)
+    assert np.allclose(prob.op_a(w), prob.rhs, rtol=0.0, atol=1e-12 * k * k)
+    assert np.linalg.eigvalsh(w)[0] > 0.0
+    assert np.array_equal(prob.c - prob.op_at(y), z)
+    assert np.linalg.eigvalsh(z)[0] > 0.0
+
+
+def test_face_map_is_exact_on_every_subset():
+    # W = chi_S chi_S^T is the face image of the rank-one point
+    # X = (1, chi_S)(1, chi_S)^T of the unreduced relaxation: it meets the
+    # reduced rows exactly, lifts through V = [e^T/k ; I] to X, and its
+    # objective is cut(S).
+    g = gnp(8, 0.5, seed=4)
+    lap = laplacian(g)
+    for k in range(1, g.n // 2 + 1):
+        face = BisectionSdp(lap, k)
+        unreduced = _dense_bisection_problem(_bisection_objective(g), k)
+        v = np.vstack((np.full(g.n, 1.0 / k), np.eye(g.n)))
+        for members in itertools.combinations(range(g.n), k):
+            chi = np.zeros(g.n)
+            chi[list(members)] = 1.0
+            w = np.outer(chi, chi)
+            assert np.array_equal(face.op_a(w), face.rhs)
+            assert np.vdot(lap, w) == cut_value(g, VertexSubset.from_indices(g.n, members))
+            x = v @ w @ v.T
+            point = np.concatenate(([1.0], chi))
+            assert np.allclose(x, np.outer(point, point), rtol=0.0, atol=1e-12)
+            assert np.allclose(unreduced.op_a(x), unreduced.rhs, rtol=0.0, atol=1e-12 * k * k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -489,7 +540,7 @@ def _pinned_generic_solutions(monkeypatch):
     for seed in range(3):
         g = gnp(9, 0.5, seed=seed)
         out.append(sdp_solve(_global_expansion_problem(g), tol=1e-8))
-        out.append(sdp_solve(BisectionSdp(_bisection_objective(g), 4), tol=1e-8))
+        out.append(sdp_solve(BisectionSdp(laplacian(g), 4), tol=1e-8))
 
     def recording_solve(prob, **kwargs):
         sol = sdp_solve(prob, **kwargs)
@@ -504,16 +555,16 @@ def _pinned_generic_solutions(monkeypatch):
 
 
 PINNED_GENERIC_SOLVES = 12
-PINNED_GENERIC_DIGEST = "47bc8d704ce6e277b5e9c93e3178dd823d7a84410ea76dc105b1af177d8bb406"
+PINNED_GENERIC_DIGEST = "1b4d02abd798babcffc8d9c727d6194b8edb1334802109519abd77cc360991c4"
 PINNED_UNIT_SOLVES = 20
 PINNED_UNIT_DIGEST = "f57bdf440c8943fec89e9f9d3553fb1f963e685cdf851b376bb9f2c073fa476f"
 RUNAWAY_BOUND = 34929.1129610346
 
 
 def test_solver_outputs_are_pinned(monkeypatch):
-    # Both problem types run the one XZ predictor-corrector; the digests
-    # hold the outputs of its infeasible (dense and arrow rows) and feasible
-    # (unit-diagonal) start paths bit for bit.
+    # Every problem type runs the one XZ predictor-corrector; the digests
+    # hold the outputs of its infeasible (dense rows) and feasible (face
+    # and unit-diagonal) start paths, and of the settled stop, bit for bit.
     generic = _pinned_generic_solutions(monkeypatch)
     assert len(generic) == PINNED_GENERIC_SOLVES
     assert _solution_digest(generic) == PINNED_GENERIC_DIGEST
