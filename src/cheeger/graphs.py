@@ -157,14 +157,11 @@ class Graph:
             a[u, v] = a[v, u] = 1.0
         return a
 
-    def laplacian(self) -> np.ndarray:
-        """Combinatorial Laplacian L = D - A as a dense float array."""
-        a = self.adjacency_matrix()
-        return np.diag(a.sum(axis=1)) - a
-
 
 def laplacian(g: Graph) -> np.ndarray:
-    return g.laplacian()
+    """Combinatorial Laplacian L = D - A as a dense float array."""
+    a = g.adjacency_matrix()
+    return np.diag(a.sum(axis=1)) - a
 
 
 def cut_value(g: Graph, s: VertexSubset) -> int:
@@ -345,6 +342,8 @@ def hypercube(d: int) -> Graph:
 
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Connected Erdos-Renyi sample; resamples up to GNP_MAX_RESAMPLES times."""
+    if n < 3:
+        raise ValueError("gnp needs n >= 3")
     if not 0.0 < p <= 1.0:
         raise ValueError("edge probability must be in (0, 1]")
     rng = random.Random(seed)

@@ -1,8 +1,7 @@
 """Exact branch-and-bound max-cut over integer-weighted complete graphs.
 
 Upper bounds come from the semidefinite relaxation with unit diagonal,
-tightened where it pays by Lagrange-dualized triangle inequalities tuned
-by a projected subgradient with Polyak steps.  Lower bounds come from
+one solve per node, certified from its dual.  Lower bounds come from
 hyperplane rounding of the relaxation's matrix followed by single-flip
 descent.  Branching contracts a vertex into vertex 0, once per side, so
 every subproblem is again a plain max-cut on one fewer vertex; small
@@ -44,7 +43,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -107,14 +105,6 @@ class Budget:
 # with each further vertex.  Changing either size changes node counts.
 LEAF_SIZE = 23
 WIDE_LEAF_SIZE = 18
-# Triangle-inequality dualization schedule.  Dualizing is only attempted
-# when the distance to the pruning threshold is within what the rounding
-# gap suggests the inequalities can recover.
-TRIANGLE_STEPS = 12
-TRIANGLE_STALL_TOL = 2e-3
-TRIANGLE_CAP_PER_VERTEX = 3
-TRIANGLE_REACH = 0.6
-POLYAK_MARGIN = 1e-3
 # Enumeration runs in float64 while max |w| * N^2 stays under the first
 # limit, and in int64 while it stays under the second.
 ENUM_FLOAT_LIMIT = 1 << 53
@@ -192,8 +182,8 @@ def improve_cut(weights, signs) -> tuple[int, list[int]]:
                 r[j] += 2 * s[best_i] * weights[best_i][j]
 
 
-def gw_round(x: np.ndarray, rng: np.random.Generator, rounds: int = GW_ROUNDS):
-    """Hyperplane rounding of a PSD matrix; yields sign vectors.
+def gw_round(x: np.ndarray, rng: np.random.Generator):
+    """``GW_ROUNDS`` hyperplane roundings of a PSD matrix, as sign vectors.
 
     Pure rounding: a rank-one matrix s s^T comes back as exactly s for
     every hyperplane.  Descent is the caller's business.
@@ -201,7 +191,7 @@ def gw_round(x: np.ndarray, rng: np.random.Generator, rounds: int = GW_ROUNDS):
     n = x.shape[0]
     vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    dirs = rng.standard_normal((rounds, n))
+    dirs = rng.standard_normal((GW_ROUNDS, n))
     signs = np.sign(dirs @ factor.T)
     signs[signs == 0] = 1.0
     out = []
@@ -286,33 +276,6 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     return (2 * total - best_quad) // 4, best_code << 1
 
 
-@cache
-def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns i < j < k of every vertex triple, in lexicographic order."""
-    t = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
-    return t[:, 0], t[:, 1], t[:, 2]
-
-
-# Sign patterns (a, b, c) of a X_ij + b X_ik + c X_jk >= -1, one per column.
-_TRIANGLE_SIGNS = np.array(((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))).T
-
-
-def _separate_triangles(x: np.ndarray, cap: int):
-    """Most-violated triangle inequalities at x, as (i, j, k, a, b, c).
-
-    The violation -(a x_ij + b x_ik + c x_jk) - 1 is evaluated in that
-    order, and ties break on (i, j, k, a, b, c), so the selection is
-    exactly that of a plain loop over triples and patterns.
-    """
-    i, j, k = _triples(x.shape[0])
-    a, b, c = _TRIANGLE_SIGNS
-    viol = -(a * x[i, j][:, None] + b * x[i, k][:, None] + c * x[j, k][:, None]) - 1.0
-    t, p = np.nonzero(viol > 1e-4)
-    cols = (i[t], j[t], k[t], a[p], b[p], c[p])
-    order = np.lexsort(cols[::-1] + (-viol[t, p],))[:cap]
-    return list(zip(*(col[order].tolist() for col in cols)))
-
-
 def contract_pair(weights, pick, rel):
     """Fold vertex ``pick`` onto vertex 0 and drop its row and column.
 
@@ -361,7 +324,6 @@ class _Search:
         self.heap = []
         self.nodes = 0
         self.node_ids = itertools.count()
-        self.pushes = itertools.count()
         self.hit_limit = False
 
         self.injected = initial_lb is not None
@@ -392,83 +354,18 @@ class _Search:
             self.incumbent = value
             self.incumbent_mask = mask
             self.updated = True
-        return value
 
     # -- bounding ----------------------------------------------------------
 
     def _bound(self, node: _Node):
         """Certified upper bound on node maxcut + const; rounds as it goes."""
-        n = node.size
-        lap = _signed_laplacian(node.weights)
-        quarter = lap / 4.0
+        quarter = _signed_laplacian(node.weights) / 4.0
+        sol = sdp_solve(UnitDiagonalSdp(-quarter), max_iterations=60)
+        node.anchor_row = np.abs(sol.x[0, 1:])
+        node.bound = node.const - sol.certified_lower_bound(float(node.size))
         rng = np.random.default_rng((self.seed, node.node_id))
-
-        def solve(objective):
-            sol = sdp_solve(UnitDiagonalSdp(-objective), max_iterations=60)
-            upper = -sol.certified_lower_bound(float(n))
-            return upper, sol.x
-
-        upper, x = solve(quarter)
-        node.anchor_row = np.abs(x[0, 1:])
-        bound = upper + node.const
-        local_best = -math.inf
-        for signs in gw_round(x, rng):
-            local_best = max(local_best, self._offer(node, signs))
-        if floor_certified(bound) <= self.incumbent or n < 4:
-            node.bound = bound
-            return
-        # Dualizing triangles is worth several extra solves only when the
-        # remaining distance to the pruning threshold is small against the
-        # gap between the relaxation and the best rounded cut here.
-        need = bound - (self.incumbent + 1 - POLYAK_MARGIN)
-        if need > TRIANGLE_REACH * max(0.0, bound - local_best):
-            node.bound = bound
-            return
-
-        triangles = _separate_triangles(x, TRIANGLE_CAP_PER_VERTEX * n)
-        if not triangles:
-            node.bound = bound
-            return
-        gam = np.zeros(len(triangles))
-        stalls = 0
-        for _ in range(TRIANGLE_STEPS):
-            # Every bound so far is certified, so stopping early stays sound.
-            # Only time stops it: this node is already charged to the budget.
-            if self.budget.out_of_time():
-                break
-            objective = quarter.copy()
-            for g_val, (i, j, k, a, b, c) in zip(gam, triangles):
-                if g_val:
-                    objective[i, j] += g_val * a / 2.0
-                    objective[j, i] += g_val * a / 2.0
-                    objective[i, k] += g_val * b / 2.0
-                    objective[k, i] += g_val * b / 2.0
-                    objective[j, k] += g_val * c / 2.0
-                    objective[k, j] += g_val * c / 2.0
-            inner_upper, x = solve(objective)
-            f_val = float(gam.sum()) + inner_upper + node.const
-            if f_val < bound - TRIANGLE_STALL_TOL * max(1.0, abs(bound)):
-                bound = f_val
-                stalls = 0
-            else:
-                bound = min(bound, f_val)
-                stalls += 1
-            for signs in gw_round(x, rng, rounds=6):
-                self._offer(node, signs)
-            target = self.incumbent + 1 - POLYAK_MARGIN
-            if floor_certified(bound) <= self.incumbent or stalls >= 2:
-                break
-            grad = np.empty(len(triangles))
-            for t, (i, j, k, a, b, c) in enumerate(triangles):
-                grad[t] = 1.0 + a * x[i, j] + b * x[i, k] + c * x[j, k]
-            norm_sq = float(grad @ grad)
-            if norm_sq < 1e-14:
-                break
-            step = (f_val - target) / norm_sq
-            if step <= 0:
-                break
-            gam = np.maximum(0.0, gam - step * grad)
-        node.bound = bound
+        for signs in gw_round(sol.x, rng):
+            self._offer(node, signs)
 
     # -- life cycle of a node ----------------------------------------------
 
@@ -486,7 +383,7 @@ class _Search:
         node.bound = min(node.bound, cap)
         self._log_node(node, node.bound)
         if floor_certified(node.bound) > self.incumbent:
-            heapq.heappush(self.heap, (-node.bound, -node.depth, next(self.pushes), node))
+            heapq.heappush(self.heap, (-node.bound, -node.depth, node.node_id, node))
 
     def _log_node(self, node: _Node, bound):
         if self.trace is None:

@@ -21,6 +21,7 @@ from cheeger.graphs import (
     generate,
     gnp,
     hypercube,
+    laplacian,
     load_graph,
     path,
     sniff_format,
@@ -120,12 +121,12 @@ def test_cut_value_rejects_trivial_sides():
 
 
 def test_laplacian_p3_matrix():
-    lap = path(3).laplacian()
+    lap = laplacian(path(3))
     assert np.array_equal(lap, np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]]))
 
 
 def test_laplacian_row_sums_zero_and_c4_spectrum():
-    lap = cycle(4).laplacian()
+    lap = laplacian(cycle(4))
     assert np.allclose(lap.sum(axis=1), 0)
     assert np.allclose(np.linalg.eigvalsh(lap), [0, 2, 2, 4])
 
@@ -134,7 +135,7 @@ def test_cut_matches_laplacian_quadratic_form():
     rng = random.Random(7)
     for _ in range(25):
         g = gnp(8, 0.45, rng.randrange(10**6))
-        lap = g.laplacian()
+        lap = laplacian(g)
         mask = rng.randrange(1, (1 << 8) - 1)
         s = VertexSubset(8, mask)
         chi = np.array(s.membership(), dtype=float)
@@ -230,6 +231,11 @@ def test_gnp_is_deterministic_and_connected():
     assert g1.edges == g2.edges
     assert g1.is_connected()
     assert gnp(10, 0.4, seed=2).edges != g1.edges
+
+
+def test_gnp_refuses_fewer_than_three_vertices_before_drawing():
+    with pytest.raises(ValueError, match=r"^gnp needs n >= 3$"):
+        gnp(2, 0.8, seed=2)
 
 
 def test_gnp_gives_up_eventually():

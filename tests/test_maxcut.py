@@ -311,62 +311,6 @@ def test_improve_cut_matches_seed_descent(w, data):
     assert value == _seed_cut_from_signs(w, polished)
 
 
-def _seed_separate_triangles(x, cap):
-    """The original triple loop over all sign patterns."""
-    n = x.shape[0]
-    found = []
-    patterns = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            xij = x[i, j]
-            for k in range(j + 1, n):
-                xik = x[i, k]
-                xjk = x[j, k]
-                for a, b, c in patterns:
-                    viol = -(a * xij + b * xik + c * xjk) - 1.0
-                    if viol > 1e-4:
-                        found.append((viol, i, j, k, a, b, c))
-    found.sort(key=lambda t: (-t[0], t[1:]))
-    return [t[1:] for t in found[:cap]]
-
-
-@st.composite
-def _unit_diagonal_points(draw):
-    """Symmetric matrices with unit diagonal; few distinct entries tie often."""
-    n = draw(st.integers(1, 9))
-    entry = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.5, 1.0]) | st.floats(-1.5, 1.5)
-    entries = draw(st.lists(entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    x = np.eye(n)
-    pairs = iter(entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x[i, j] = x[j, i] = next(pairs)
-    return x
-
-
-def _assert_same_triangles(x, cap):
-    found = maxcut._separate_triangles(x, cap)
-    assert found == _seed_separate_triangles(x, cap)
-    assert all(type(v) is int for t in found for v in t)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_unit_diagonal_points(), st.integers(0, 40))
-def test_separate_triangles_matches_seed_loop(x, cap):
-    _assert_same_triangles(x, cap)
-
-
-def test_separate_triangles_matches_seed_loop_on_relaxations():
-    # Node relaxations of random instances, at the engine's cap.
-    rng = random.Random(5)
-    for n in (6, 13, 21, 30):
-        inst = _random_instance(rng, n)
-        obj = -maxcut._signed_laplacian(inst.weights) / 4.0
-        x = maxcut.sdp_solve(maxcut.UnitDiagonalSdp(obj), tol=1e-7, max_iterations=60).x
-        _assert_same_triangles(x, maxcut.TRIANGLE_CAP_PER_VERTEX * n)
-        _assert_same_triangles(np.round(x, 1), maxcut.TRIANGLE_CAP_PER_VERTEX * n)
-
-
 def test_enumerate_memory_stays_bounded():
     # A full 2^21 x 22 int64 sign table alone would take 369 MB.
     rng = random.Random(22)
@@ -546,10 +490,9 @@ def test_time_limit_zero_stops_after_root():
     assert res.best_bound >= res.value
 
 
-def test_time_limit_stops_triangle_loop(monkeypatch):
-    # Without a limit this root closes after four triangle solves.  Time
-    # runs out after the first one: the node must stop there and keep the
-    # certified bound it has.
+def test_time_limit_stops_after_the_root_solve(monkeypatch):
+    # Time runs out after the root's one SDP solve: the search stops with
+    # one node, the root's certified bound and its rounded cut.
     inst = _random_instance(random.Random(0), 12)
     original = maxcut.sdp_solve
     calls = []
@@ -559,10 +502,11 @@ def test_time_limit_stops_triangle_loop(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(maxcut, "sdp_solve", counting_solve)
-    monkeypatch.setattr(Budget, "elapsed", lambda self: 0.0 if len(calls) < 2 else 100.0)
+    monkeypatch.setattr(Budget, "elapsed", lambda self: 0.0 if not calls else 100.0)
     monkeypatch.setattr(maxcut, "LEAF_SIZE", 4)
     res = solve_maxcut(inst, budget=Budget(time_limit=50.0))
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert res.nodes == 1
     assert res.status == "limit"
     assert res.best_bound >= res.value
     assert res.value == enumerate_maxcut(inst.weights)[0]
@@ -606,25 +550,31 @@ def test_worker_failure_propagates(monkeypatch, failing_call):
     assert len(set(calls)) == failing_call
 
 
-def test_triangle_tightening_keeps_the_optimum(monkeypatch):
+def test_one_sdp_solve_per_bounded_node(monkeypatch):
     rng = random.Random(8)
     inst = _random_instance(rng, 11)
     solves = []
-    original = maxcut.sdp_solve
+    leaves = []
+    original_solve = maxcut.sdp_solve
+    original_enum = maxcut.enumerate_maxcut
 
-    def counting(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         solves.append(1)
-        return original(*args, **kwargs)
+        return original_solve(*args, **kwargs)
 
-    monkeypatch.setattr(maxcut, "sdp_solve", counting)
+    def counting_enum(*args, **kwargs):
+        leaves.append(1)
+        return original_enum(*args, **kwargs)
+
+    monkeypatch.setattr(maxcut, "sdp_solve", counting_solve)
+    monkeypatch.setattr(maxcut, "enumerate_maxcut", counting_enum)
     monkeypatch.setattr(maxcut, "LEAF_SIZE", 5)
-    with_tri = solve_maxcut(inst)
-    # More solves than nodes: the root was tightened by triangle solves.
-    assert len(solves) > with_tri.nodes
+    res = solve_maxcut(inst)
+    assert len(solves) == res.nodes - len(leaves)
     value, _ = enumerate_maxcut(inst)
-    assert with_tri.status == "optimal"
-    assert with_tri.value == value
-    assert cut_weight(inst, with_tri.mask) == value
+    assert res.status == "optimal"
+    assert res.value == value
+    assert cut_weight(inst, res.mask) == value
 
 
 def test_node_trace_records_every_node(monkeypatch):
