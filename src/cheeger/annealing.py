@@ -16,10 +16,12 @@ by -gain[v], and swapping the two changes it by
 
     gain[u] - gain[v] + 2 [u ~ v].
 
-The gains are set once per search.  After a swap (u out, v in) every
-vertex adjacent to v gains 2 and every vertex adjacent to u loses 2,
-which costs O(deg u + deg v) instead of a rescan of all k (n - k) pairs
-with popcounts.  A vertex u whose gain cannot beat the best delta so far
+The gains are set once per annealing run.  The walk keeps them with the
+cut value of its state and scores each proposed swap by the formula
+above; each polish descends from a copy.  After a swap (u out, v in)
+every vertex adjacent to v gains 2 and every vertex adjacent to u loses
+2, which costs O(deg u + deg v) instead of a rescan of all k (n - k)
+pairs with popcounts.  A vertex u whose gain cannot beat the best delta so far
 against the largest outside gain is skipped whole, since none of its
 pairs could be taken.
 
@@ -49,26 +51,22 @@ TEMPERATURE_FLOOR_FACTOR = 1e-3
 PATIENCE = 3
 
 
-def _swap_delta(g: Graph, mask: int, u: int, v: int) -> int:
-    """Cut change when u leaves the subset and v (outside) replaces it."""
-    deg = g.degrees
-    adj = g.adj_masks
-    after_u = mask ^ (1 << u)
-    return (
-        2 * (adj[u] & mask).bit_count()
-        - deg[u]
-        + deg[v]
-        - 2 * (adj[v] & after_u).bit_count()
-    )
+def _gains(g: Graph, mask: int) -> list[int]:
+    """gain[x] = 2 |N(x) & S| - deg(x) for the subset S with this mask."""
+    return [2 * (a & mask).bit_count() - d for a, d in zip(g.adj_masks, g.degrees)]
 
 
 def local_search(g: Graph, subset: VertexSubset) -> tuple[int, VertexSubset]:
     """Steepest-descent swap search from subset; returns a local optimum."""
-    mask = subset.mask
-    value = cut_value(g, subset)
+    value, mask = _descend(g, subset.mask, cut_value(g, subset), _gains(g, subset.mask))
+    return value, VertexSubset(g.n, mask)
+
+
+def _descend(g: Graph, mask: int, value: int, gain: list[int]) -> tuple[int, int]:
+    """Steepest descent from the subset ``mask`` with cut ``value`` and
+    gains ``gain``, which it updates in place; returns (cut, mask)."""
     n = g.n
     adj = g.adj_masks
-    gain = [2 * (a & mask).bit_count() - d for a, d in zip(adj, g.degrees)]
     while True:
         inside = [u for u in range(n) if mask >> u & 1]
         outside = [v for v in range(n) if not mask >> v & 1]
@@ -86,7 +84,7 @@ def local_search(g: Graph, subset: VertexSubset) -> tuple[int, VertexSubset]:
                     best_delta = delta
                     best_pair = (u, v)
         if best_pair is None:
-            return value, VertexSubset(n, mask)
+            return value, mask
         u, v = best_pair
         mask = mask ^ (1 << u) | (1 << v)
         value += best_delta
@@ -122,13 +120,16 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
     rng = random.Random(seed * 1_000_003 + k * 1009)
     n = g.n
+    adj = g.adj_masks
     inside = rng.sample(range(n), k)
-    outside = [v for v in range(n) if v not in set(inside)]
     mask = 0
     for u in inside:
         mask |= 1 << u
+    outside = [v for v in range(n) if not mask >> v & 1]
+    value = cut_value(g, VertexSubset(n, mask))
+    gain = _gains(g, mask)
 
-    best_value, best_subset = local_search(g, VertexSubset(n, mask))
+    best_value, best_mask = _descend(g, mask, value, gain.copy())
 
     t0 = (k * k / math.comb(n, 2)) * 2.0 * g.m
     t0 = max(t0, 1e-9)
@@ -144,19 +145,22 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset
             iv = rng.randrange(n - k)
             u = inside[iu]
             v = outside[iv]
-            delta = _swap_delta(g, mask, u, v)
+            delta = gain[u] - gain[v] + 2 * (adj[u] >> v & 1)
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
                 mask = mask ^ (1 << u) | (1 << v)
+                value += delta
+                _shift_gains(gain, adj[u], -2)
+                _shift_gains(gain, adj[v], 2)
                 inside[iu], outside[iv] = v, u
-                polished, polished_subset = local_search(g, VertexSubset(n, mask))
+                polished, polished_mask = _descend(g, mask, value, gain.copy())
                 if polished < best_value:
                     best_value = polished
-                    best_subset = polished_subset
+                    best_mask = polished_mask
                     improved = True
         idle_cycles = 0 if improved else idle_cycles + 1
         temp = max(temp * COOLING, floor)
         trials *= TRIAL_GROWTH
-    return best_value, best_subset
+    return best_value, VertexSubset(n, best_mask)
 
 
 def best_expansion_witness(g: Graph, seed: int = 0) -> tuple[Fraction, VertexSubset]:

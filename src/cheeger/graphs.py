@@ -379,9 +379,9 @@ def generate(family: str, *args) -> Graph:
 # ---------------------------------------------------------------------------
 # exhaustive reference solvers
 
-def _check_guard(g: Graph, guard: int):
-    if g.n > guard:
-        raise ValueError(f"refusing exhaustive search on n={g.n} > {guard}")
+def _check_guard(g: Graph):
+    if g.n > ENUMERATION_GUARD:
+        raise ValueError(f"refusing exhaustive search on n={g.n} > {ENUMERATION_GUARD}")
 
 
 def _subset_cut(g: Graph, members: Sequence[int], mask: int) -> int:
@@ -389,12 +389,12 @@ def _subset_cut(g: Graph, members: Sequence[int], mask: int) -> int:
     return sum((g.adj_masks[v] & inv).bit_count() for v in members)
 
 
-def brute_force_bisection(g: Graph, k: int, guard: int = ENUMERATION_GUARD) -> tuple[int, VertexSubset]:
+def brute_force_bisection(g: Graph, k: int) -> tuple[int, VertexSubset]:
     """Minimum cut over subsets of size exactly k, by enumeration.
 
     Ties are broken by the lexicographically smallest membership vector.
     """
-    _check_guard(g, guard)
+    _check_guard(g)
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"k={k} outside [1, {g.n // 2}]")
     best = None
@@ -410,9 +410,9 @@ def brute_force_bisection(g: Graph, k: int, guard: int = ENUMERATION_GUARD) -> t
     return val, VertexSubset.from_indices(g.n, [i for i, b in enumerate(membership) if b])
 
 
-def brute_force_h(g: Graph, guard: int = ENUMERATION_GUARD) -> tuple[Fraction, VertexSubset]:
+def brute_force_h(g: Graph) -> tuple[Fraction, VertexSubset]:
     """Exact edge expansion min |cut(S)|/|S| over 1 <= |S| <= n/2, by enumeration."""
-    _check_guard(g, guard)
+    _check_guard(g)
     best = None
     for k in range(1, g.n // 2 + 1):
         for combo in itertools.combinations(range(g.n), k):
@@ -427,12 +427,12 @@ def brute_force_h(g: Graph, guard: int = ENUMERATION_GUARD) -> tuple[Fraction, V
     return ratio, VertexSubset.from_indices(g.n, [i for i, b in enumerate(membership) if b])
 
 
-def brute_force_mincut(g: Graph, guard: int = ENUMERATION_GUARD) -> tuple[int, VertexSubset]:
+def brute_force_mincut(g: Graph) -> tuple[int, VertexSubset]:
     """Global minimum cut over proper nonempty subsets, by enumeration."""
-    _check_guard(g, guard)
+    _check_guard(g)
     best = None
     for k in range(1, g.n // 2 + 1):
-        val, s = brute_force_bisection(g, k, guard)
+        val, s = brute_force_bisection(g, k)
         key = (val, s.membership())
         if best is None or key < best:
             best = key

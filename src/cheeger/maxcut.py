@@ -246,8 +246,8 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     else:
         weights = [list(row) for row in instance_or_weights]
     n = len(weights)
-    if n > 24:
-        raise ValueError("enumeration capped at 24 vertices")
+    if not 1 <= n <= 24:
+        raise ValueError(f"enumeration takes 1 to 24 vertices, got {n}")
     if n == 1:
         return 0, 0
     total = sum(weights[i][j] for i in range(n) for j in range(i + 1, n))
@@ -360,7 +360,7 @@ class _Search:
     def _bound(self, node: _Node):
         """Certified upper bound on node maxcut + const; rounds as it goes."""
         quarter = _signed_laplacian(node.weights) / 4.0
-        sol = sdp_solve(UnitDiagonalSdp(-quarter), max_iterations=60)
+        sol = sdp_solve(UnitDiagonalSdp(-quarter))
         node.anchor_row = np.abs(sol.x[0, 1:])
         node.bound = node.const - sol.certified_lower_bound(float(node.size))
         rng = np.random.default_rng((self.seed, node.node_id))

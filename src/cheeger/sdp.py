@@ -32,7 +32,8 @@ Everything downstream consumes *certified* bounds: for any dual vector y,
 holds for every primal-feasible X whose trace is at most trace_bound, so
 a valid bound survives loose convergence or outright solver failure.
 
-The kernel is dense and meant for blocks up to a few hundred rows.
+The kernel is dense and meant for blocks up to a few hundred rows.  Every
+solve stops at the module constants ``SDP_TOL`` and ``MAX_ITERATIONS``.
 
 Node problems have a few dozen rows, where scipy's wrappers (input
 checks, a workspace query per ``eigh``, batching dispatch) cost more than
@@ -61,6 +62,8 @@ log = logging.getLogger(__name__)
 DIMENSION_CAP = 600
 # Interior-point stopping tolerance for every bound the package computes.
 SDP_TOL = 1e-7
+# Iteration cap of every solve; measured solves all stop by 31 iterations.
+MAX_ITERATIONS = 60
 
 
 class SdpError(RuntimeError):
@@ -192,7 +195,6 @@ Problem = DenseSdp | BisectionSdp | UnitDiagonalSdp
 
 @dataclass
 class SdpSolution:
-    problem: Problem
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -320,21 +322,16 @@ def _max_identity_step(a: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def sdp_solve(
-    prob: Problem,
-    tol: float = SDP_TOL,
-    max_iterations: int = 100,
-    settle_trace: float | None = None,
-) -> SdpSolution:
+def sdp_solve(prob: Problem, settle_trace: float | None = None) -> SdpSolution:
     """Run the interior-point iteration; always returns a usable solution.
 
     The status is honest: "optimal" only when the relative gap and the
-    residuals fall below tol; "settled", with ``settle_trace`` (a trace
-    bound for every feasible X), once the primal residual is below tol and
-    the certificate rounds up (``ceil_certified``) to the primal
-    objective's integer, which no later iterate can raise.  Callers
-    needing safe bounds should go through SdpSolution.certified_lower_bound
-    regardless of status.
+    residuals fall below ``SDP_TOL``; "settled", with ``settle_trace`` (a
+    trace bound for every feasible X), once the primal residual is below
+    SDP_TOL and the certificate rounds up (``ceil_certified``) to the
+    primal objective's integer, which no later iterate can raise; else
+    "max_iterations" at ``MAX_ITERATIONS`` (both module constants).  Safe
+    bounds come from SdpSolution.certified_lower_bound, whatever the status.
     """
     n = prob.dim
     b = prob.rhs
@@ -367,7 +364,7 @@ def sdp_solve(
     # whose certificate is valid for any dual vector.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         status, it, (x, y, z, rel_out, pres_out, dres_out) = _iterate(
-            prob, c, b, tol, max_iterations, None if settle_trace is None else settled
+            prob, c, b, None if settle_trace is None else settled
         )
     if status not in ("optimal", "settled"):
         log.info("sdp_solve: %s after %d iterations (relgap %.2e)", status, it, rel_out)
@@ -376,7 +373,6 @@ def sdp_solve(
     # certificate for the original data is scale * y.
     y_orig = scale * y
     return SdpSolution(
-        problem=prob,
         x=x,
         y=y_orig,
         z=scale * z,
@@ -396,8 +392,8 @@ def _slack_min_eig(prob: Problem, y: np.ndarray) -> float:
     return float(np.min(_eigh(_sym(prob.c - prob.op_at(y)), vectors=False)))
 
 
-def _iterate(prob: Problem, c, b, tol, max_iterations, settled):
-    """XZ predictor-corrector from ``prob.start(c)``.
+def _iterate(prob: Problem, c, b, settled):
+    """XZ predictor-corrector from ``prob.start(c)``, capped at MAX_ITERATIONS.
 
     Returns (status, iterations, (x, y, z, rel_gap, pres, dres)) with the
     last iterate when optimal or settled(x, y), else the best one seen.
@@ -412,7 +408,7 @@ def _iterate(prob: Problem, c, b, tol, max_iterations, settled):
     status = "max_iterations"
     it = 0
     rel_gap = pres = dres = np.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         rp = b - prob.op_a(x)
         rd = c - prob.op_at(y) - z
 
@@ -431,10 +427,10 @@ def _iterate(prob: Problem, c, b, tol, max_iterations, settled):
         if best is None or worst < best[0]:
             best = (worst, x.copy(), y.copy(), z.copy(), rel_gap, pres, dres)
 
-        if worst <= tol:
+        if worst <= SDP_TOL:
             status = "optimal"
             break
-        if settled is not None and pres <= tol and settled(x, y):
+        if settled is not None and pres <= SDP_TOL and settled(x, y):
             status = "settled"
             break
 

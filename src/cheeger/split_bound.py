@@ -182,11 +182,6 @@ def _exact_order(table: BoundsTable) -> list:
     return sorted(table.survivors(), key=lambda k: (table.upper(k), k))
 
 
-def _ceil_threshold(ustar: Fraction, k: int) -> int:
-    """Smallest integer cut NOT beating ratio ustar at cardinality k."""
-    return math.ceil(ustar * k)
-
-
 def _exact_bisection(
     g: Graph,
     k: int,
@@ -255,7 +250,7 @@ def _run_exact_phase(
             phase.hit_limit = True
             return phase
         res, exact_cut, subset = _exact_bisection(
-            g, k, table.upper_cut[k], _ceil_threshold(table.ustar, k),
+            g, k, table.upper_cut[k], math.ceil(table.ustar * k),
             seed * 131 + k, budget,
         )
         phase.attempts += 1

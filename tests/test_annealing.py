@@ -1,5 +1,6 @@
 """Tests for the swap-move annealing heuristic."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -158,6 +159,27 @@ _PINNED_ANNEALS = [
 def test_anneal_results_are_pinned(g, k, seed, value, mask):
     got_value, got = anneal_bisection(g, k, seed=seed)
     assert (got_value, got.mask) == (value, mask)
+
+
+# SHA-256 over "cut mask" lines of every call below, recorded with the
+# walk that scored swaps by popcounts and rebuilt the gains per polish.
+PINNED_ANNEAL_SWEEP_CALLS = 252
+PINNED_ANNEAL_SWEEP_DIGEST = "dd48343f17c4d800ad6602cf3e07c6e38d7d67747c52c474b7485b04533f5f71"
+
+
+def test_anneal_sweep_is_pinned():
+    graphs = [cycle(12), cycle(17), cycle(24)]
+    graphs += [gnp(n, p, s) for n in (14, 16, 20) for p in (0.3, 0.4) for s in (1, 9)]
+    digest = hashlib.sha256()
+    calls = 0
+    for g in graphs:
+        for k in range(1, g.n // 2 + 1):
+            for seed in (0, 3):
+                cut, subset = anneal_bisection(g, k, seed=seed)
+                digest.update(f"{cut} {subset.mask}\n".encode())
+                calls += 1
+    assert calls == PINNED_ANNEAL_SWEEP_CALLS
+    assert digest.hexdigest() == PINNED_ANNEAL_SWEEP_DIGEST
 
 
 # -- properties against brute force ----------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cheeger.graphs import (
+    ENUMERATION_GUARD,
     Graph,
     GraphFormatError,
     VertexSubset,
@@ -302,8 +303,11 @@ def test_h_invariant_under_relabeling():
 
 
 def test_enumeration_guard():
-    g = cycle(10)
-    with pytest.raises(ValueError):
-        brute_force_h(g, guard=9)
-    with pytest.raises(ValueError):
-        brute_force_mincut(g, guard=9)
+    # The guard is checked before any subset is drawn, so this is instant.
+    g = cycle(ENUMERATION_GUARD + 1)
+    with pytest.raises(ValueError, match="refusing exhaustive search"):
+        brute_force_h(g)
+    with pytest.raises(ValueError, match="refusing exhaustive search"):
+        brute_force_mincut(g)
+    with pytest.raises(ValueError, match="refusing exhaustive search"):
+        brute_force_bisection(g, 1)

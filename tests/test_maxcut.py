@@ -107,6 +107,13 @@ def test_enumerate_matches_brute_force():
         assert not mask & 1
 
 
+def test_enumerate_refuses_sizes_outside_its_range():
+    # An empty matrix would otherwise reach the sign tables with -1 bits.
+    for weights in ([], [[0] * 25 for _ in range(25)]):
+        with pytest.raises(ValueError, match=f"1 to 24 vertices, got {len(weights)}"):
+            enumerate_maxcut(weights)
+
+
 def test_contraction_preserves_maxcut():
     # Folding any vertex onto the anchor in both orientations splits the
     # assignment space in two, so the parent optimum is the better child.

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheeger import bounds, maxcut
+from cheeger import bounds, maxcut, sdp
 from cheeger.graphs import (
     VertexSubset,
     brute_force_bisection,
@@ -22,6 +22,7 @@ from cheeger.graphs import (
     gnp,
     laplacian,
 )
+from cheeger.dinkelbach import dinkelbach_solve
 from cheeger.maxcut import _signed_laplacian, enumerate_maxcut, solve_maxcut
 from cheeger.sdp import (
     CERTIFICATE_SLACK,
@@ -36,6 +37,7 @@ from cheeger.sdp import (
     _solve_lower,
     sdp_solve,
 )
+from cheeger.split_bound import split_and_bound
 from cheeger.transforms import MaxCutInstance
 
 
@@ -119,7 +121,7 @@ def test_global_relaxation_matches_eigenvalue_oracle():
     # eigensolve on a few structured graphs.
     for g in (complete(4), complete(5), cycle(5), cycle(6)):
         lam2 = np.sort(np.linalg.eigvalsh(laplacian(g)))[1]
-        sol = sdp_solve(_global_expansion_problem(g), tol=1e-8)
+        sol = sdp_solve(_global_expansion_problem(g))
         assert sol.status == "optimal"
         assert sol.primal_obj == pytest.approx(lam2 / 2.0, abs=1e-6)
 
@@ -130,25 +132,26 @@ def test_bisection_relaxation_bounds_true_bisection():
     exact, _ = brute_force_bisection(g, k)
     for prob in (BisectionSdp(laplacian(g), k),
                  _dense_bisection_problem(_bisection_objective(g), k)):
-        sol = sdp_solve(prob, tol=1e-8)
+        sol = sdp_solve(prob)
         assert sol.status == "optimal"
         assert sol.primal_obj <= exact + 1e-6
         assert sol.primal_obj > 1.0  # strong enough to round up to the optimum
         assert int(np.ceil(sol.primal_obj - 1e-6)) == exact
 
 
-def test_certified_bound_is_safe_even_when_stopped_early():
+def test_certified_bound_is_safe_even_when_stopped_early(monkeypatch):
     # lambda_2(K4)/2 = 2; any dual certificate must stay at or below it.
     prob = _global_expansion_problem(complete(4))
     for iters in (2, 4, 100):
-        sol = sdp_solve(prob, max_iterations=iters)
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", iters)
+        sol = sdp_solve(prob)
         assert sol.certified_lower_bound(1.0) <= 2.0 + 1e-9
 
 
 def test_certified_bound_below_primal_on_random_graphs():
     for seed in range(5):
         g = gnp(8, 0.5, seed=seed)
-        sol = sdp_solve(_global_expansion_problem(g), tol=1e-8)
+        sol = sdp_solve(_global_expansion_problem(g))
         cert = sol.certified_lower_bound(1.0)
         assert cert <= sol.primal_obj + 1e-7
         lam2 = np.sort(np.linalg.eigvalsh(laplacian(g)))[1]
@@ -160,7 +163,7 @@ def test_maxcut_relaxation_value():
     # n/4 * lambda_max(L); solved as a minimization of the negation.
     g = cycle(5)
     lam_max = np.max(np.linalg.eigvalsh(laplacian(g)))
-    sol = sdp_solve(_unit_diagonal_rows(-laplacian(g) / 4.0), tol=1e-8)
+    sol = sdp_solve(_unit_diagonal_rows(-laplacian(g) / 4.0))
     assert sol.status == "optimal"
     assert -sol.primal_obj == pytest.approx(5.0 * lam_max / 4.0, abs=1e-6)
 
@@ -186,20 +189,21 @@ UNIT_AGREEMENT_TOL = 1e-6
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_unit_diagonal_bound_agrees_with_generic_rows(seed):
+def test_unit_diagonal_bound_agrees_with_generic_rows(seed, monkeypatch):
     # UnitDiagonalSdp and the dense rows diag(X) = 1 certify the same
     # node bound, and a unit-diagonal solve cut short after 3 iterations
     # still certifies a valid one.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 26))
     obj = _node_objective(rng, n, triangles=0 if seed % 2 else 3 * n)
-    generic = sdp_solve(_unit_diagonal_rows(-obj), max_iterations=60)
-    unit = sdp_solve(UnitDiagonalSdp(-obj), max_iterations=60)
+    generic = sdp_solve(_unit_diagonal_rows(-obj))
+    unit = sdp_solve(UnitDiagonalSdp(-obj))
     assert generic.status == unit.status == "optimal"
     bound = generic.certified_lower_bound(n)
     assert abs(unit.certified_lower_bound(n) - bound) <= UNIT_AGREEMENT_TOL * (1.0 + abs(bound))
 
-    short = sdp_solve(UnitDiagonalSdp(-obj), max_iterations=3)
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+    short = sdp_solve(UnitDiagonalSdp(-obj))
     assert short.status == "max_iterations"
     assert short.iterations == 3
     slack_eig = np.linalg.eigvalsh(-obj - np.diag(short.y))[0]
@@ -230,7 +234,7 @@ def test_unit_diagonal_bound_stays_above_the_maximum_cut(w):
     # The node bound, at every weight scale the penalized encodings
     # reach, never cuts off the true maximum cut.
     n = len(w)
-    sol = sdp_solve(UnitDiagonalSdp(-_signed_laplacian(w) / 4.0), max_iterations=60)
+    sol = sdp_solve(UnitDiagonalSdp(-_signed_laplacian(w) / 4.0))
     assert -sol.certified_lower_bound(float(n)) >= enumerate_maxcut(w)[0]
 
 
@@ -270,7 +274,7 @@ def test_slack_rows_enforce_inequalities():
     sol = sdp_solve(_dense(obj, [
         (_row(4, [(0, 0, 1.0), (2, 2, -1.0)]), 3.0),
         (_row(4, [(1, 1, 1.0), (3, 3, 1.0)]), 5.0),
-    ]), tol=1e-8)
+    ]))
     assert sol.status == "optimal"
     assert sol.primal_obj == pytest.approx(3.0, abs=1e-6)
     assert sol.x[1, 1] <= 5.0 + 1e-6
@@ -524,14 +528,15 @@ def _solution_digest(solutions) -> str:
     return h.hexdigest()
 
 
-def _pinned_unit_solutions():
+def _pinned_unit_solutions(monkeypatch):
     out = []
     rng = np.random.default_rng(2024)
     for case in range(10):
         n = int(rng.integers(5, 34))
         obj = _node_objective(rng, n, triangles=0 if case % 2 else 3 * n)
         for iters in (4, 60):
-            out.append(sdp_solve(UnitDiagonalSdp(-obj), max_iterations=iters))
+            monkeypatch.setattr(sdp, "MAX_ITERATIONS", iters)
+            out.append(sdp_solve(UnitDiagonalSdp(-obj)))
     return out
 
 
@@ -539,8 +544,8 @@ def _pinned_generic_solutions(monkeypatch):
     out = []
     for seed in range(3):
         g = gnp(9, 0.5, seed=seed)
-        out.append(sdp_solve(_global_expansion_problem(g), tol=1e-8))
-        out.append(sdp_solve(BisectionSdp(laplacian(g), 4), tol=1e-8))
+        out.append(sdp_solve(_global_expansion_problem(g)))
+        out.append(sdp_solve(BisectionSdp(laplacian(g), 4)))
 
     def recording_solve(prob, **kwargs):
         sol = sdp_solve(prob, **kwargs)
@@ -555,7 +560,7 @@ def _pinned_generic_solutions(monkeypatch):
 
 
 PINNED_GENERIC_SOLVES = 12
-PINNED_GENERIC_DIGEST = "1b4d02abd798babcffc8d9c727d6194b8edb1334802109519abd77cc360991c4"
+PINNED_GENERIC_DIGEST = "6d582b570b7624de63459dc6150696b32a816d2494fbe9fd1ba9cbc7a9e34337"
 PINNED_UNIT_SOLVES = 20
 PINNED_UNIT_DIGEST = "f57bdf440c8943fec89e9f9d3553fb1f963e685cdf851b376bb9f2c073fa476f"
 RUNAWAY_BOUND = 34929.1129610346
@@ -568,7 +573,7 @@ def test_solver_outputs_are_pinned(monkeypatch):
     generic = _pinned_generic_solutions(monkeypatch)
     assert len(generic) == PINNED_GENERIC_SOLVES
     assert _solution_digest(generic) == PINNED_GENERIC_DIGEST
-    unit = _pinned_unit_solutions()
+    unit = _pinned_unit_solutions(monkeypatch)
     assert len(unit) == PINNED_UNIT_SOLVES
     assert _solution_digest(unit) == PINNED_UNIT_DIGEST
 
@@ -588,3 +593,28 @@ def test_runaway_dual_keeps_status_and_certificate():
     assert sol.iterations == 25
     assert np.isfinite(sol.certified_lower_bound(1.0))
     assert sol.certified_lower_bound(1.0) == RUNAWAY_BOUND
+
+
+def test_solves_of_both_exact_methods_stop_before_the_cap(monkeypatch):
+    # One iteration cap serves every problem type because real solves end
+    # "optimal" or "settled" well before it; a status of max_iterations
+    # here means MAX_ITERATIONS now cuts off a solve that used to finish.
+    statuses = {}
+
+    def recording(module, key):
+        solve = module.sdp_solve
+
+        def recording_solve(prob, **kwargs):
+            sol = solve(prob, **kwargs)
+            statuses.setdefault(key, []).append(sol.status)
+            return sol
+
+        monkeypatch.setattr(module, "sdp_solve", recording_solve)
+
+    recording(bounds, "cheap")
+    recording(maxcut, "node")
+    assert split_and_bound(gnp(24, 0.2, seed=2)).status == "solved"
+    assert dinkelbach_solve(gnp(20, 0.3, seed=9)).status == "solved"
+    assert statuses["cheap"] and statuses["node"]
+    for key, seen in statuses.items():
+        assert set(seen) <= {"optimal", "settled"}, key
