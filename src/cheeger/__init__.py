@@ -27,6 +27,7 @@ from cheeger.graphs import (
     cut_value,
     cycle,
     dump_graph,
+    edge_connectivity,
     expansion,
     generate,
     gnp,
@@ -97,6 +98,7 @@ __all__ = [
     "dinkelbach_to_maxcut",
     "dump_graph",
     "dump_instance",
+    "edge_connectivity",
     "enumerate_maxcut",
     "evaluate_q",
     "expansion",

@@ -31,8 +31,25 @@ ascending over the complement.  The polished subsets, and with them every
 downstream bound and report, depend on this order; any faster scan must
 pick the same pair.
 
-All randomness flows from ``random.Random`` seeded per (seed, k), making
-every result reproducible bit for bit.
+Two shortcuts skip work without changing any result:
+
+* Floor.  ``anneal_bisection`` takes ``lower_cut``, a certified lower
+  bound on every size-k cut (the edge connectivity, or a cheap SDP
+  bound), and returns as soon as its best cut reaches it: no later
+  polish could have beaten the best cut.  A best cut *below* the floor
+  means the bound is unsound, and raises.
+* Memo.  A descent is a pure function of its start mask: the gains and
+  the cut follow from the mask, and no random number is drawn.  Each
+  run therefore keeps a dict from every mask a descent passed through to
+  that descent's end, and a later descent that steps onto a recorded
+  mask stops there with the recorded end.  The dict is cleared whenever
+  it would pass ``MEMO_CAP`` masks, so memory stays bounded on any graph.
+
+Both keep the tie-break invariant above: every polish returns the
+subset the full scan would, and the walk draws the same random numbers
+until the floor ends it.  All randomness flows from ``random.Random``
+seeded per (seed, k), so a run stopped early leaves every other run's
+stream untouched, and every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +58,7 @@ import math
 import random
 from fractions import Fraction
 
-from .graphs import Graph, VertexSubset, cut_value
+from .graphs import Graph, VertexSubset, cut_value, edge_connectivity
 
 # Cooling schedule: geometric with a floor, growing trial counts, and a
 # patience of improvement-free cycles before giving up.
@@ -49,6 +66,8 @@ COOLING = 0.7
 TRIAL_GROWTH = 1.15
 TEMPERATURE_FLOOR_FACTOR = 1e-3
 PATIENCE = 3
+# Most masks one run's polish memo holds; it is cleared when full.
+MEMO_CAP = 1 << 16
 
 
 def _gains(g: Graph, mask: int) -> list[int]:
@@ -58,16 +77,26 @@ def _gains(g: Graph, mask: int) -> list[int]:
 
 def local_search(g: Graph, subset: VertexSubset) -> tuple[int, VertexSubset]:
     """Steepest-descent swap search from subset; returns a local optimum."""
-    value, mask = _descend(g, subset.mask, cut_value(g, subset), _gains(g, subset.mask))
+    value, mask = _descend(g, subset.mask, cut_value(g, subset), _gains(g, subset.mask), {})
     return value, VertexSubset(g.n, mask)
 
 
-def _descend(g: Graph, mask: int, value: int, gain: list[int]) -> tuple[int, int]:
+def _descend(g: Graph, mask: int, value: int, gain: list[int],
+             memo: dict) -> tuple[int, int]:
     """Steepest descent from the subset ``mask`` with cut ``value`` and
-    gains ``gain``, which it updates in place; returns (cut, mask)."""
+    gains ``gain``, which it leaves unchanged; returns (cut, mask).
+
+    Every mask on the way is recorded in ``memo`` with the end of the
+    descent; a step onto a recorded mask ends the descent there.
+    """
     n = g.n
     adj = g.adj_masks
+    path = []
     while True:
+        end = memo.get(mask)
+        if end is not None:
+            break
+        path.append(mask)
         inside = [u for u in range(n) if mask >> u & 1]
         outside = [v for v in range(n) if not mask >> v & 1]
         top = max(gain[v] for v in outside)
@@ -84,12 +113,19 @@ def _descend(g: Graph, mask: int, value: int, gain: list[int]) -> tuple[int, int
                     best_delta = delta
                     best_pair = (u, v)
         if best_pair is None:
-            return value, mask
+            end = (value, mask)
+            break
+        if len(path) == 1:
+            gain = gain.copy()  # the caller's gains stay those of its mask
         u, v = best_pair
         mask = mask ^ (1 << u) | (1 << v)
         value += best_delta
         _shift_gains(gain, adj[u], -2)
         _shift_gains(gain, adj[v], 2)
+    if len(memo) + len(path) > MEMO_CAP:
+        memo.clear()
+    memo.update(dict.fromkeys(path, end))
+    return end
 
 
 def _shift_gains(gain: list[int], neighbours: int, step: int):
@@ -100,7 +136,8 @@ def _shift_gains(gain: list[int], neighbours: int, step: int):
         neighbours ^= low
 
 
-def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset]:
+def anneal_bisection(g: Graph, k: int, seed: int = 0,
+                     lower_cut: int = 0) -> tuple[int, VertexSubset]:
     """Best cut over subsets of size k found by one annealing run.
 
     Parameters
@@ -110,11 +147,21 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset
         Subset cardinality, between 1 and n // 2.
     seed : int
         Base seed; each k derives its own stream from it.
+    lower_cut : int
+        A certified lower bound on every size-k cut.  The run stops as
+        soon as its best cut reaches it; the result is the one the full
+        run returns.
 
     Returns
     -------
     (int, VertexSubset)
         Cut value and the subset achieving it.
+
+    Raises
+    ------
+    RuntimeError
+        If the best cut found lies below ``lower_cut``: the bound that
+        produced it is unsound.
     """
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
@@ -128,8 +175,9 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset
     outside = [v for v in range(n) if not mask >> v & 1]
     value = cut_value(g, VertexSubset(n, mask))
     gain = _gains(g, mask)
+    memo: dict = {}
 
-    best_value, best_mask = _descend(g, mask, value, gain.copy())
+    best_value, best_mask = _descend(g, mask, value, gain, memo)
 
     t0 = (k * k / math.comb(n, 2)) * 2.0 * g.m
     t0 = max(t0, 1e-9)
@@ -138,7 +186,7 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset
     trials = float(n)
     idle_cycles = 0
 
-    while idle_cycles < PATIENCE:
+    while best_value > lower_cut and idle_cycles < PATIENCE:
         improved = False
         for _ in range(int(round(trials))):
             iu = rng.randrange(k)
@@ -152,23 +200,34 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0) -> tuple[int, VertexSubset
                 _shift_gains(gain, adj[u], -2)
                 _shift_gains(gain, adj[v], 2)
                 inside[iu], outside[iv] = v, u
-                polished, polished_mask = _descend(g, mask, value, gain.copy())
+                polished, polished_mask = _descend(g, mask, value, gain, memo)
                 if polished < best_value:
                     best_value = polished
                     best_mask = polished_mask
                     improved = True
+                    if best_value <= lower_cut:
+                        break
         idle_cycles = 0 if improved else idle_cycles + 1
         temp = max(temp * COOLING, floor)
         trials *= TRIAL_GROWTH
+    if best_value < lower_cut:
+        raise RuntimeError(
+            f"annealed cut {best_value} at k={k} lies below the certified "
+            f"lower bound {lower_cut}; the bound is unsound"
+        )
     return best_value, VertexSubset(n, best_mask)
 
 
 def best_expansion_witness(g: Graph, seed: int = 0) -> tuple[Fraction, VertexSubset]:
-    """Cheapest expansion ratio cut(S)/|S| seen across all cardinalities."""
+    """Cheapest expansion ratio cut(S)/|S| seen across all cardinalities.
+
+    Every run stops at the edge connectivity, which no cut undercuts.
+    """
+    lower_cut = edge_connectivity(g)
     best = None
     witness = None
     for k in range(1, g.n // 2 + 1):
-        value, subset = anneal_bisection(g, k, seed=seed)
+        value, subset = anneal_bisection(g, k, seed=seed, lower_cut=lower_cut)
         ratio = Fraction(value, k)
         if best is None or ratio < best:
             best = ratio

@@ -239,7 +239,8 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     order, so the first minimum of quad, block by block, is the first
     maximizer.  Blocks keep at most about ``ENUM_BLOCK`` cuts in memory.
     The array type comes from ``_enum_dtype``, so every sum is an exact
-    integer.  Weights are symmetric with a zero diagonal.
+    integer.  Weights must be square and symmetric with a zero diagonal,
+    as in ``MaxCutInstance.build``; other lists raise ``ValueError``.
     """
     if isinstance(instance_or_weights, MaxCutInstance):
         weights = [list(row) for row in instance_or_weights.weights]
@@ -248,12 +249,19 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     n = len(weights)
     if not 1 <= n <= 24:
         raise ValueError(f"enumeration takes 1 to 24 vertices, got {n}")
-    if n == 1:
-        return 0, 0
+    if any(len(row) != n for row in weights):
+        raise ValueError("weights must be square with zero diagonal")
     total = sum(weights[i][j] for i in range(n) for j in range(i + 1, n))
-    max_w = max((abs(weights[i][j]) for i in range(n) for j in range(i + 1, n)), default=0)
+    # Over every entry, so that the checks below compare exact integers.
+    max_w = max(abs(x) for row in weights for x in row)
     dtype = _enum_dtype(max_w, n)
     w = np.array(weights, dtype=dtype)
+    if w.diagonal().any():
+        raise ValueError("weights must be square with zero diagonal")
+    if not (w == w.T).all():
+        raise ValueError("weights must be symmetric")
+    if n == 1:
+        return 0, 0
     low = (n - 1) // 2
     split = low + 1
     s_low = np.hstack([np.ones((1 << low, 1), dtype=dtype), _sign_table(low, dtype)])

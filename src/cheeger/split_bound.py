@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .annealing import anneal_bisection
 from .bounds import cheap_bisection_bound, fallback_bisection_bound, spectral_bound
-from .graphs import Graph, VertexSubset, cut_value
+from .graphs import Graph, VertexSubset, cut_value, edge_connectivity
 from .maxcut import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
@@ -136,8 +136,11 @@ def pre_eliminate(
 
     Lower bounds come from the certified relaxation (with an eigenvalue
     fallback if the solver fails), upper bounds from one annealing run
-    per k.  A cardinality survives only while its lower bound is
-    strictly below the best ratio seen anywhere.  When ``initial_ustar``
+    per k.  Each run stops once its cut reaches the larger of the edge
+    connectivity and the lower bound times k, which no size-k cut
+    undercuts, so the early stop returns the full run's cut.  A
+    cardinality survives only while its lower bound is strictly below
+    the best ratio seen anywhere.  When ``initial_ustar``
     is given it acts as the starting threshold and annealing results
     only tighten it through genuine cuts.
 
@@ -148,10 +151,13 @@ def pre_eliminate(
     instead, and the table is marked ``cut_short``.  No search runs here,
     so the node limit does not apply.  A negative ``seed``, or relaxations
     (order n + 1) over ``sdp.DIMENSION_CAP``, raise ``ValueError``.
+    With ``CHEEGER_LOG=INFO`` each k logs its bounds and how its upper
+    bound was found.
     """
     require_nonnegative(seed=seed)
     require_relaxation_fits(g.n + 1)
     budget = budget or Budget()
+    connectivity = edge_connectivity(g)
     table = BoundsTable(n=g.n)
     if initial_ustar is not None:
         table.ustar = initial_ustar
@@ -163,9 +169,15 @@ def pre_eliminate(
             table.lower[k] = fallback_bisection_bound(g, k, half_lambda)
             subset = VertexSubset.from_indices(g.n, range(k))
             cut = cut_value(g, subset)
+            how = "first k vertices, time limit"
         else:
             table.lower[k] = cheap_lower_bound(g, k)
-            cut, subset = anneal_bisection(g, k, seed=seed)
+            lower_cut = max(connectivity, math.ceil(table.lower[k] * k))
+            cut, subset = anneal_bisection(g, k, seed=seed, lower_cut=lower_cut)
+            stop = "stopped at" if cut == lower_cut else "full schedule above"
+            how = f"annealed, {stop} floor {lower_cut}"
+        log.info("pre-elimination k=%d: lower bound %s, cut %d, %s",
+                 k, table.lower[k], cut, how)
         table.upper_cut[k] = cut
         table.witness[k] = subset
         table.offer(Fraction(cut, k), subset)
@@ -289,7 +301,7 @@ def solve_cardinality(
     budget = Budget(node_limit, time_limit)
     require_nonnegative(seed=seed)
     require_relaxation_fits(g.n + 1)
-    cut, subset = anneal_bisection(g, k, seed=seed)
+    cut, subset = anneal_bisection(g, k, seed=seed, lower_cut=edge_connectivity(g))
     _, exact_cut, exact_subset = _exact_bisection(g, k, cut, None, seed, budget)
     if exact_subset is None:
         return BoundRow(k, cheap_lower_bound(g, k), Fraction(cut, k), "pending",

@@ -1,13 +1,17 @@
 """Tests for the swap-move annealing heuristic."""
 
+import functools
 import hashlib
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cheeger import annealing
 from cheeger.annealing import anneal_bisection, best_expansion_witness, local_search
 from cheeger.graphs import (
     Graph,
@@ -15,6 +19,7 @@ from cheeger.graphs import (
     brute_force_bisection,
     cut_value,
     cycle,
+    edge_connectivity,
     gnp,
     hypercube,
 )
@@ -167,19 +172,74 @@ PINNED_ANNEAL_SWEEP_CALLS = 252
 PINNED_ANNEAL_SWEEP_DIGEST = "dd48343f17c4d800ad6602cf3e07c6e38d7d67747c52c474b7485b04533f5f71"
 
 
-def test_anneal_sweep_is_pinned():
+def _sweep_graphs():
     graphs = [cycle(12), cycle(17), cycle(24)]
-    graphs += [gnp(n, p, s) for n in (14, 16, 20) for p in (0.3, 0.4) for s in (1, 9)]
+    return graphs + [gnp(n, p, s) for n in (14, 16, 20) for p in (0.3, 0.4) for s in (1, 9)]
+
+
+def _anneal_sweep(floors=None):
+    """(calls, digest) of the pinned sweep; ``floors(g)[k]`` is the
+    ``lower_cut`` of every call at k, and without it none is passed."""
     digest = hashlib.sha256()
     calls = 0
-    for g in graphs:
+    for g in _sweep_graphs():
+        lower = None if floors is None else floors(g)
         for k in range(1, g.n // 2 + 1):
             for seed in (0, 3):
-                cut, subset = anneal_bisection(g, k, seed=seed)
+                floor = {} if lower is None else {"lower_cut": lower[k]}
+                cut, subset = anneal_bisection(g, k, seed=seed, **floor)
                 digest.update(f"{cut} {subset.mask}\n".encode())
                 calls += 1
-    assert calls == PINNED_ANNEAL_SWEEP_CALLS
-    assert digest.hexdigest() == PINNED_ANNEAL_SWEEP_DIGEST
+    return calls, digest.hexdigest()
+
+
+def test_anneal_sweep_is_pinned():
+    assert _anneal_sweep() == (PINNED_ANNEAL_SWEEP_CALLS, PINNED_ANNEAL_SWEEP_DIGEST)
+
+
+@functools.cache
+def _optimal_cuts(g):
+    """Least size-k cut for every k up to n/2, by enumerating all subsets
+    of the first n - 1 vertices (a size-k set or its complement is one)."""
+    n = g.n
+    by_size = [math.inf] * n
+    for start in range(0, 1 << (n - 1), 1 << 18):
+        x = np.arange(start, min(start + (1 << 18), 1 << (n - 1)), dtype=np.int64)
+        bits = [(x >> v & 1).astype(np.uint8) for v in range(n - 1)]
+        bits.append(np.zeros_like(bits[0]))
+        cut = sum(bits[u] ^ bits[v] for u, v in g.edges)
+        size = sum(bits)
+        for c in range(n):
+            here = cut[size == c]
+            if len(here):
+                by_size[c] = min(by_size[c], int(here.min()))
+    return [None] + [min(by_size[k], by_size[n - k]) for k in range(1, n // 2 + 1)]
+
+
+def _connectivity_floors(g):
+    return [edge_connectivity(g)] * (g.n // 2 + 1)
+
+
+@pytest.mark.parametrize("memo_cap", [annealing.MEMO_CAP, 2], ids=["cap", "cap2"])
+@pytest.mark.parametrize("floors", [None, _optimal_cuts, _connectivity_floors],
+                         ids=["no-floor", "optimum", "connectivity"])
+def test_floor_and_memo_keep_the_sweep_pinned(monkeypatch, floors, memo_cap):
+    # A run that stops at a certified floor, or that ends descents on
+    # recorded masks (cap 2 clears the memo after almost every one),
+    # returns what the full run without either returns.
+    monkeypatch.setattr(annealing, "MEMO_CAP", memo_cap)
+    assert _anneal_sweep(floors) == (PINNED_ANNEAL_SWEEP_CALLS, PINNED_ANNEAL_SWEEP_DIGEST)
+
+
+@pytest.mark.parametrize("g", [cycle(12), hypercube(4)], ids=["C12", "Q4"])
+def test_floor_above_a_genuine_cut_raises(g):
+    # On these graphs every run at seed 0 finds the optimum before any
+    # cut one above it, so a floor of optimum + 1 is undercut.
+    for k in range(1, g.n // 2 + 1):
+        optimum, _ = brute_force_bisection(g, k)
+        with pytest.raises(RuntimeError, match="unsound"):
+            anneal_bisection(g, k, seed=0, lower_cut=optimum + 1)
+        assert anneal_bisection(g, k, seed=0, lower_cut=optimum)[0] == optimum
 
 
 # -- properties against brute force ----------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheeger.graphs import (
     ENUMERATION_GUARD,
@@ -18,6 +20,7 @@ from cheeger.graphs import (
     cut_value,
     cycle,
     dump_graph,
+    edge_connectivity,
     expansion,
     generate,
     gnp,
@@ -281,6 +284,39 @@ def test_brute_force_mincut_known_values():
     assert brute_force_mincut(cycle(6))[0] == 2
     assert brute_force_mincut(path(5))[0] == 1
     assert brute_force_mincut(complete(4))[0] == 3
+
+
+def _two_cliques_and_a_bridge():
+    """Two K4 joined by one edge: minimum degree 3, edge connectivity 1."""
+    left = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    right = [(u + 4, v + 4) for u, v in left]
+    return Graph.build(8, left + right + [(3, 4)])
+
+
+@pytest.mark.parametrize("g, value", [
+    (cycle(3), 2), (cycle(17), 2), (path(3), 1), (path(12), 1),
+    (complete(3), 2), (complete(9), 8), (hypercube(2), 2), (hypercube(5), 5),
+    (_two_cliques_and_a_bridge(), 1),
+], ids=["C3", "C17", "P3", "P12", "K3", "K9", "Q2", "Q5", "bridge"])
+def test_edge_connectivity_known_values(g, value):
+    assert edge_connectivity(g) == value
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A connected graph on 3..12 vertices: a random tree plus extra edges."""
+    n = draw(st.integers(3, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, keep in zip(pairs, extra) if keep}
+    return Graph.build(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_connected_graphs())
+def test_edge_connectivity_matches_brute_force(g):
+    assert edge_connectivity(g) == brute_force_mincut(g)[0]
 
 
 def test_h_is_min_over_bisection_ratios():

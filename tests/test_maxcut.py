@@ -114,6 +114,21 @@ def test_enumerate_refuses_sizes_outside_its_range():
             enumerate_maxcut(weights)
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 5]], "zero diagonal"),
+    ([[0, 1], [1]], "zero diagonal"),
+    ([[0, 1], [3, 0]], "symmetric"),
+    ([[0, 1 << 61], [(1 << 61) + 1, 0]], "symmetric"),
+], ids=["diagonal", "ragged", "asymmetric", "asymmetric-wide"])
+def test_enumerate_refuses_malformed_weights(weights, message):
+    # The same weights MaxCutInstance.build refuses; enumeration would
+    # otherwise read only the upper triangle and return a wrong cut.
+    with pytest.raises(ValueError, match=message):
+        MaxCutInstance.build(weights)
+    with pytest.raises(ValueError, match=message):
+        enumerate_maxcut(weights)
+
+
 def test_contraction_preserves_maxcut():
     # Folding any vertex onto the anchor in both orientations splits the
     # assignment space in two, so the parent optimum is the better child.

@@ -40,7 +40,7 @@ LEGAL_STATUSES = {
 }
 
 
-def _crude_heuristic(g, k, seed=0):
+def _crude_heuristic(g, k, seed=0, lower_cut=0):
     """Deliberately weak stand-in: always proposes the first k vertices."""
     s = VertexSubset.from_indices(g.n, range(k))
     return cut_value(g, s), s
@@ -234,6 +234,36 @@ def test_time_limit_stops_annealing(monkeypatch):
     # A refuting cut already in hand is returned, not a limit.
     ok, cert = verify_lower_bound(g, Fraction(1), time_limit=0.0)
     assert ok is False and expansion(g, cert) < 1
+
+
+def test_pre_eliminate_logs_every_cardinality(caplog):
+    # One INFO line per k: its lower bound, its cut, and whether the
+    # annealing run stopped at its floor, max(connectivity, lower * k).
+    # The lines never reach the report.
+    g = gnp(13, 0.4, seed=1)
+    quiet = canonical_json(split_and_bound(g))
+    with caplog.at_level("INFO", logger="cheeger.split_bound"):
+        table = pre_eliminate(g)
+        assert canonical_json(split_and_bound(g)) == quiet
+    lines = [r.getMessage() for r in caplog.records if r.name == "cheeger.split_bound"]
+    assert lines[:2] == [
+        "pre-elimination k=1: lower bound 2, cut 2, annealed, stopped at floor 2",
+        "pre-elimination k=2: lower bound 3/2, cut 4, annealed, full schedule above floor 3",
+    ]
+    count = len(table.lower)
+    assert len(lines) == 2 * count and lines[count:] == lines[:count]
+    for k, line in zip(sorted(table.lower), lines):
+        assert line.startswith(f"pre-elimination k={k}: lower bound {table.lower[k]}, "
+                               f"cut {table.upper_cut[k]}, annealed, ")
+
+    caplog.clear()
+    with caplog.at_level("INFO", logger="cheeger.split_bound"):
+        pre_eliminate(cycle(8), budget=Budget(time_limit=0.0))
+    lines = [r.getMessage() for r in caplog.records if r.name == "cheeger.split_bound"]
+    assert lines[1:] == [
+        f"pre-elimination k={k}: lower bound {lower}, cut 2, first k vertices, time limit"
+        for k, lower in ((2, Fraction(1, 2)), (3, Fraction(2, 3)), (4, Fraction(1, 2)))
+    ]
 
 
 @pytest.mark.parametrize("g", [cycle(12), gnp(13, 0.4, seed=1), cycle(18)],
