@@ -27,7 +27,6 @@ from cheeger.graphs import (
     cut_value,
     cycle,
     dump_graph,
-    edge_connectivity,
     expansion,
     generate,
     gnp,
@@ -98,7 +97,6 @@ __all__ = [
     "dinkelbach_to_maxcut",
     "dump_graph",
     "dump_instance",
-    "edge_connectivity",
     "enumerate_maxcut",
     "evaluate_q",
     "expansion",

@@ -31,25 +31,18 @@ ascending over the complement.  The polished subsets, and with them every
 downstream bound and report, depend on this order; any faster scan must
 pick the same pair.
 
-Two shortcuts skip work without changing any result:
-
-* Floor.  ``anneal_bisection`` takes ``lower_cut``, a certified lower
-  bound on every size-k cut (the edge connectivity, or a cheap SDP
-  bound), and returns as soon as its best cut reaches it: no later
-  polish could have beaten the best cut.  A best cut *below* the floor
-  means the bound is unsound, and raises.
-* Memo.  A descent is a pure function of its start mask: the gains and
-  the cut follow from the mask, and no random number is drawn.  Each
-  run therefore keeps a dict from every mask a descent passed through to
-  that descent's end, and a later descent that steps onto a recorded
-  mask stops there with the recorded end.  The dict is cleared whenever
-  it would pass ``MEMO_CAP`` masks, so memory stays bounded on any graph.
-
-Both keep the tie-break invariant above: every polish returns the
-subset the full scan would, and the walk draws the same random numbers
-until the floor ends it.  All randomness flows from ``random.Random``
-seeded per (seed, k), so a run stopped early leaves every other run's
-stream untouched, and every result is reproducible bit for bit.
+Floor: ``anneal_bisection`` takes ``lower_cut``, a certified lower
+bound on every size-k cut (the edge connectivity, or a cheap SDP bound
+times k), and returns as soon as its best cut reaches it, since no later
+polish could beat that cut.  A best cut *below* the floor means the
+bound is unsound, and raises.  The stop keeps the tie-break invariant:
+every polish up to it returns the subset the full run's would.  All
+randomness flows from ``random.Random`` seeded per (seed, k), so a run
+stopped early leaves every other run's stream untouched, and every
+result is reproducible bit for bit.  The edge connectivity stops a run
+only where the least size-k cut equals it: on cycles at every k, but on
+the benchmark's G(n, p) graphs only at k = 1, and there only when the
+least degree is the connectivity.
 """
 
 from __future__ import annotations
@@ -66,8 +59,6 @@ COOLING = 0.7
 TRIAL_GROWTH = 1.15
 TEMPERATURE_FLOOR_FACTOR = 1e-3
 PATIENCE = 3
-# Most masks one run's polish memo holds; it is cleared when full.
-MEMO_CAP = 1 << 16
 
 
 def _gains(g: Graph, mask: int) -> list[int]:
@@ -77,26 +68,16 @@ def _gains(g: Graph, mask: int) -> list[int]:
 
 def local_search(g: Graph, subset: VertexSubset) -> tuple[int, VertexSubset]:
     """Steepest-descent swap search from subset; returns a local optimum."""
-    value, mask = _descend(g, subset.mask, cut_value(g, subset), _gains(g, subset.mask), {})
+    value, mask = _descend(g, subset.mask, cut_value(g, subset), _gains(g, subset.mask))
     return value, VertexSubset(g.n, mask)
 
 
-def _descend(g: Graph, mask: int, value: int, gain: list[int],
-             memo: dict) -> tuple[int, int]:
+def _descend(g: Graph, mask: int, value: int, gain: list[int]) -> tuple[int, int]:
     """Steepest descent from the subset ``mask`` with cut ``value`` and
-    gains ``gain``, which it leaves unchanged; returns (cut, mask).
-
-    Every mask on the way is recorded in ``memo`` with the end of the
-    descent; a step onto a recorded mask ends the descent there.
-    """
+    gains ``gain``, which it updates in place; returns (cut, mask)."""
     n = g.n
     adj = g.adj_masks
-    path = []
     while True:
-        end = memo.get(mask)
-        if end is not None:
-            break
-        path.append(mask)
         inside = [u for u in range(n) if mask >> u & 1]
         outside = [v for v in range(n) if not mask >> v & 1]
         top = max(gain[v] for v in outside)
@@ -113,19 +94,12 @@ def _descend(g: Graph, mask: int, value: int, gain: list[int],
                     best_delta = delta
                     best_pair = (u, v)
         if best_pair is None:
-            end = (value, mask)
-            break
-        if len(path) == 1:
-            gain = gain.copy()  # the caller's gains stay those of its mask
+            return value, mask
         u, v = best_pair
         mask = mask ^ (1 << u) | (1 << v)
         value += best_delta
         _shift_gains(gain, adj[u], -2)
         _shift_gains(gain, adj[v], 2)
-    if len(memo) + len(path) > MEMO_CAP:
-        memo.clear()
-    memo.update(dict.fromkeys(path, end))
-    return end
 
 
 def _shift_gains(gain: list[int], neighbours: int, step: int):
@@ -175,9 +149,8 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0,
     outside = [v for v in range(n) if not mask >> v & 1]
     value = cut_value(g, VertexSubset(n, mask))
     gain = _gains(g, mask)
-    memo: dict = {}
 
-    best_value, best_mask = _descend(g, mask, value, gain, memo)
+    best_value, best_mask = _descend(g, mask, value, gain.copy())
 
     t0 = (k * k / math.comb(n, 2)) * 2.0 * g.m
     t0 = max(t0, 1e-9)
@@ -200,7 +173,7 @@ def anneal_bisection(g: Graph, k: int, seed: int = 0,
                 _shift_gains(gain, adj[u], -2)
                 _shift_gains(gain, adj[v], 2)
                 inside[iu], outside[iv] = v, u
-                polished, polished_mask = _descend(g, mask, value, gain, memo)
+                polished, polished_mask = _descend(g, mask, value, gain.copy())
                 if polished < best_value:
                     best_value = polished
                     best_mask = polished_mask

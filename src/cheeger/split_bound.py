@@ -172,10 +172,12 @@ def pre_eliminate(
             how = "first k vertices, time limit"
         else:
             table.lower[k] = cheap_lower_bound(g, k)
-            lower_cut = max(connectivity, math.ceil(table.lower[k] * k))
+            bound_cut = math.ceil(table.lower[k] * k)
+            lower_cut = max(connectivity, bound_cut)
             cut, subset = anneal_bisection(g, k, seed=seed, lower_cut=lower_cut)
             stop = "stopped at" if cut == lower_cut else "full schedule above"
-            how = f"annealed, {stop} floor {lower_cut}"
+            how = (f"annealed, {stop} floor {lower_cut} "
+                   f"(connectivity {connectivity}, bound cut {bound_cut})")
         log.info("pre-elimination k=%d: lower bound %s, cut %d, %s",
                  k, table.lower[k], cut, how)
         table.upper_cut[k] = cut

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheeger import annealing
 from cheeger.annealing import anneal_bisection, best_expansion_witness, local_search
 from cheeger.graphs import (
     Graph,
@@ -220,14 +219,11 @@ def _connectivity_floors(g):
     return [edge_connectivity(g)] * (g.n // 2 + 1)
 
 
-@pytest.mark.parametrize("memo_cap", [annealing.MEMO_CAP, 2], ids=["cap", "cap2"])
-@pytest.mark.parametrize("floors", [None, _optimal_cuts, _connectivity_floors],
-                         ids=["no-floor", "optimum", "connectivity"])
-def test_floor_and_memo_keep_the_sweep_pinned(monkeypatch, floors, memo_cap):
-    # A run that stops at a certified floor, or that ends descents on
-    # recorded masks (cap 2 clears the memo after almost every one),
-    # returns what the full run without either returns.
-    monkeypatch.setattr(annealing, "MEMO_CAP", memo_cap)
+@pytest.mark.parametrize("floors", [_optimal_cuts, _connectivity_floors],
+                         ids=["optimum", "connectivity"])
+def test_floor_keeps_the_sweep_pinned(floors):
+    # A run that stops at a certified floor returns what the full run
+    # returns.
     assert _anneal_sweep(floors) == (PINNED_ANNEAL_SWEEP_CALLS, PINNED_ANNEAL_SWEEP_DIGEST)
 
 

@@ -237,8 +237,9 @@ def test_time_limit_stops_annealing(monkeypatch):
 
 
 def test_pre_eliminate_logs_every_cardinality(caplog):
-    # One INFO line per k: its lower bound, its cut, and whether the
-    # annealing run stopped at its floor, max(connectivity, lower * k).
+    # One INFO line per k: its lower bound, its cut, whether the annealing
+    # run stopped at its floor, and the floor's two parts, the connectivity
+    # and the lower bound as a cut, ceil(lower * k).
     # The lines never reach the report.
     g = gnp(13, 0.4, seed=1)
     quiet = canonical_json(split_and_bound(g))
@@ -247,8 +248,10 @@ def test_pre_eliminate_logs_every_cardinality(caplog):
         assert canonical_json(split_and_bound(g)) == quiet
     lines = [r.getMessage() for r in caplog.records if r.name == "cheeger.split_bound"]
     assert lines[:2] == [
-        "pre-elimination k=1: lower bound 2, cut 2, annealed, stopped at floor 2",
-        "pre-elimination k=2: lower bound 3/2, cut 4, annealed, full schedule above floor 3",
+        "pre-elimination k=1: lower bound 2, cut 2, annealed, stopped at floor 2 "
+        "(connectivity 2, bound cut 2)",
+        "pre-elimination k=2: lower bound 3/2, cut 4, annealed, full schedule above floor 3 "
+        "(connectivity 2, bound cut 3)",
     ]
     count = len(table.lower)
     assert len(lines) == 2 * count and lines[count:] == lines[:count]
