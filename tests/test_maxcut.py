@@ -1,5 +1,6 @@
 """Tests for the branch-and-bound max-cut solver."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -532,6 +533,49 @@ def test_time_limit_stops_after_the_root_solve(monkeypatch):
     assert res.status == "limit"
     assert res.best_bound >= res.value
     assert res.value == enumerate_maxcut(inst.weights)[0]
+
+
+def _width(weights):
+    return sum(abs(w) for row in weights for w in row) // 2
+
+
+def _at_width(width, n=20, seed=6):
+    """Random weights on n vertices whose |w| summed over pairs is ``width``."""
+    w = [list(row) for row in _random_instance(random.Random(seed), n).weights]
+    w = _scaled(w, width.bit_length() - 2 - _width(w).bit_length())
+    w[0][1] = w[1][0] = width - (_width(w) - abs(w[0][1]))
+    return MaxCutInstance.build(w)
+
+
+# SHA-256 of repr((trace rows, value, mask, nodes)) of a default solve,
+# recorded on the list-based engine before node weights became arrays.
+_PINNED_TRACES = {
+    "above-leaf": (lambda: _above_leaf(3),
+                   "0d59ddcdaa2d631c8b8c5ed4bd5fd32c8b7f786fe849cf30a2a0264d06418e19"),
+    "ring-2^61": (lambda: MaxCutInstance.build(_scaled(_instance_from_graph(cycle(20)).weights, 61)),
+                  "0cf2a13df483c9b4274bc62c154e450624e88ccf36d59fd494f0cbbffb430224"),
+    "under-int64": (lambda: _at_width(maxcut.ENUM_INT64_LIMIT - 1),
+                    "2c9dc7521eafca434baf9372c8d761f96cb5f4e7907283551b5495a011eb31e1"),
+    "at-int64": (lambda: _at_width(maxcut.ENUM_INT64_LIMIT),
+                 "61084d9ded59522bc36d7fe72080b60ea1b9e29444ee7d1b2aab0f6758acc997"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_TRACES))
+def test_node_trace_is_pinned(name):
+    # Every node's id, depth, bound and incumbent, in order: the engine
+    # takes the same path on small integers, on the Python-integer tier
+    # with wide leaves, and on either side of the int64 node limit.
+    build, pinned = _PINNED_TRACES[name]
+    inst = build()
+    rows = []
+    res = solve_maxcut(inst, trace=rows)
+    assert res.status == "optimal" and res.nodes > 1
+    assert cut_weight(inst, res.mask) == res.value
+    if inst.n <= 25:
+        assert res.value == _optimum(inst)
+    state = repr((rows, res.value, res.mask, res.nodes))
+    assert hashlib.sha256(state.encode()).hexdigest() == pinned
 
 
 # -- reproducibility -------------------------------------------------------
