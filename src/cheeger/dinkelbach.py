@@ -17,7 +17,6 @@ Every evaluation of a run charges one shared ``maxcut.Budget``.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,16 +32,6 @@ from .maxcut import (
 )
 from .report import SolveReport, TraceRow
 from .transforms import dinkelbach_to_maxcut, require_relaxation_fits, slack_weights
-
-log = logging.getLogger(__name__)
-
-# The node relaxations hold each subproblem's Laplacian in floats, which
-# stay exact integers only below 2^53.  Contraction sums weights, so the
-# total |w| over all pairs bounds every entry and every row sum of every
-# node's Laplacian; past this limit the relaxations see rounded data.
-# (Enumeration needs no warning: it switches to Python integers by itself
-# at maxcut.ENUM_INT64_LIMIT.)
-WIDE_WEIGHT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -106,13 +95,6 @@ def evaluate_q(
     gamma = Fraction(gamma)
     started = time.monotonic()
     red = dinkelbach_to_maxcut(g, gamma)
-    total = sum(abs(w) for row in red.instance.weights for w in row) // 2
-    if total >= WIDE_WEIGHT_LIMIT:
-        log.warning(
-            "ratio %s/%s pushes the total weight to %d bits; "
-            "node relaxations round the Laplacian",
-            gamma.numerator, gamma.denominator, total.bit_length(),
-        )
     res = solve_maxcut(red.instance, budget=budget, seed=seed)
     ms = (time.monotonic() - started) * 1000.0
     if res.status != "optimal":

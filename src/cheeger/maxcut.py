@@ -21,6 +21,14 @@ int64 below 2^60, and in Python integers beyond; other floats appear
 only inside relaxation bounds, which are certified and therefore safe to
 floor against the integer incumbent.
 
+Each node holds its weights as one integer array.  Contraction only sums
+entries, so the instance's total absolute weight (the search's width)
+bounds every entry and row sum of every node: the array is int64 while
+the width stays below ``ENUM_INT64_LIMIT`` and Python integers
+(``object``) above it.  Contraction, descent and rounding work on that
+array; it is cast to float64 only for the node relaxation and for
+float-tier leaves.
+
 The search is one best-first loop over a heap of open nodes: pop the
 node with the largest bound and branch it unless its floored bound no
 longer beats the incumbent.  Nothing runs concurrently, so with a fixed
@@ -39,8 +47,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -48,6 +56,8 @@ import numpy as np
 
 from .sdp import UnitDiagonalSdp, floor_certified, sdp_solve
 from .transforms import MaxCutInstance
+
+log = logging.getLogger(__name__)
 
 DEFAULT_NODE_LIMIT = 10**6
 DEFAULT_TIME_LIMIT = 3600.0
@@ -106,7 +116,8 @@ class Budget:
 LEAF_SIZE = 23
 WIDE_LEAF_SIZE = 18
 # Enumeration runs in float64 while max |w| * N^2 stays under the first
-# limit, and in int64 while it stays under the second.
+# limit, and in int64 while it stays under the second; node arrays are
+# int64 while the search's width stays under the second.
 ENUM_FLOAT_LIMIT = 1 << 53
 ENUM_INT64_LIMIT = 1 << 60
 # Cuts held in memory at once by enumeration.
@@ -153,38 +164,34 @@ def _signed_laplacian(weights) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def improve_cut(weights, signs) -> tuple[int, list[int]]:
+def improve_cut(weights: np.ndarray, signs) -> tuple[int, np.ndarray]:
     """Steepest single-flip descent; returns the improved cut and signs.
 
-    Weights are symmetric with a zero diagonal and signs are +-1.  With
-    r = W s, the starting cut is exact integer arithmetic on sums the
-    descent needs anyway: 4 cut = sum(W) - s.r, because sum(W) counts
-    each pair twice and s.r counts an uncut pair +2w and a cut one -2w.
+    ``weights`` is a node's integer array (int64 or object), symmetric
+    with a zero diagonal, and ``signs`` are +-1; the signs come back as a
+    new array of the same dtype.  With r = W s, the starting cut is exact
+    integer arithmetic on sums the descent needs anyway: 4 cut = sum(W) -
+    s.r, because sum(W) counts each pair twice and s.r counts an uncut
+    pair +2w and a cut one -2w.  Flipping i gains s_i r_i; ``argmax``
+    takes the first largest gain, so ties go to the lowest index.
     """
-    n = len(weights)
-    s = list(signs)
-    r = [sum(map(operator.mul, row, s)) for row in weights]
-    value = (sum(map(sum, weights)) - sum(map(operator.mul, s, r))) // 4
+    s = np.array(signs, dtype=weights.dtype)
+    r = weights @ s
+    value = int(weights.sum() - s @ r) // 4
     while True:
-        best_gain = 0
-        best_i = -1
-        for i in range(n):
-            gain = s[i] * r[i]
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        if best_i < 0:
+        gains = s * r
+        i = int(np.argmax(gains))
+        if gains[i] <= 0:
             return value, s
-        s[best_i] = -s[best_i]
-        value += best_gain
-        for j in range(n):
-            if j != best_i:
-                r[j] += 2 * s[best_i] * weights[best_i][j]
+        value += int(gains[i])
+        s[i] = -s[i]
+        r += 2 * s[i] * weights[i]
 
 
-def gw_round(x: np.ndarray, rng: np.random.Generator):
-    """``GW_ROUNDS`` hyperplane roundings of a PSD matrix, as sign vectors.
+def gw_round(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``GW_ROUNDS`` hyperplane roundings of a PSD matrix, as sign rows.
 
+    Returns a ``GW_ROUNDS`` x n int64 array of +-1 whose column 0 is +1.
     Pure rounding: a rank-one matrix s s^T comes back as exactly s for
     every hyperplane.  Descent is the caller's business.
     """
@@ -192,15 +199,8 @@ def gw_round(x: np.ndarray, rng: np.random.Generator):
     vals, vecs = np.linalg.eigh((x + x.T) / 2.0)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     dirs = rng.standard_normal((GW_ROUNDS, n))
-    signs = np.sign(dirs @ factor.T)
-    signs[signs == 0] = 1.0
-    out = []
-    for row in signs:
-        s = [int(v) for v in row]
-        if s[0] < 0:
-            s = [-v for v in s]
-        out.append(s)
-    return out
+    signs = np.where(dirs @ factor.T < 0, -1, 1)
+    return signs * signs[:, :1]
 
 
 def _sign_table(bits: int, dtype) -> np.ndarray:
@@ -238,24 +238,24 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     1, q_low).  Row-major order of the (high code, low code) table is code
     order, so the first minimum of quad, block by block, is the first
     maximizer.  Blocks keep at most about ``ENUM_BLOCK`` cuts in memory.
-    The array type comes from ``_enum_dtype``, so every sum is an exact
+    Takes an instance, nested lists or an integer array, converted once;
+    the array type comes from ``_enum_dtype``, so every sum is an exact
     integer.  Weights must be square and symmetric with a zero diagonal,
-    as in ``MaxCutInstance.build``; other lists raise ``ValueError``.
+    as in ``MaxCutInstance.build``; others raise ``ValueError``.
     """
     if isinstance(instance_or_weights, MaxCutInstance):
-        weights = [list(row) for row in instance_or_weights.weights]
-    else:
-        weights = [list(row) for row in instance_or_weights]
-    n = len(weights)
+        instance_or_weights = instance_or_weights.weights
+    n = len(instance_or_weights)
     if not 1 <= n <= 24:
         raise ValueError(f"enumeration takes 1 to 24 vertices, got {n}")
-    if any(len(row) != n for row in weights):
+    if any(len(row) != n for row in instance_or_weights):
         raise ValueError("weights must be square with zero diagonal")
-    total = sum(weights[i][j] for i in range(n) for j in range(i + 1, n))
-    # Over every entry, so that the checks below compare exact integers.
-    max_w = max(abs(x) for row in weights for x in row)
+    w = np.asarray(instance_or_weights)
+    # Over every entry, so that the checks below compare exact integers;
+    # Python ints, since abs() of an int64 array wraps at -2^63.
+    max_w = max(int(w.max()), -int(w.min()))
     dtype = _enum_dtype(max_w, n)
-    w = np.array(weights, dtype=dtype)
+    w = w.astype(dtype, copy=False)
     if w.diagonal().any():
         raise ValueError("weights must be square with zero diagonal")
     if not (w == w.T).all():
@@ -281,15 +281,16 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
         if best_quad is None or value < best_quad:
             best_quad = value
             best_code = (start << low) + at
-    return (2 * total - best_quad) // 4, best_code << 1
+    return (int(w.sum()) - best_quad) // 4, best_code << 1
 
 
-def contract_pair(weights, pick, rel):
+def contract_pair(weights: np.ndarray, pick: int, rel: int) -> tuple[np.ndarray, int]:
     """Fold vertex ``pick`` onto vertex 0 and drop its row and column.
 
     ``rel = 1`` forces the pair onto the same side, ``rel = -1`` onto
-    opposite sides.  Returns the reduced weight matrix and the constant
-    shift, so that for the matching restriction of assignments
+    opposite sides.  Takes a node's integer array and returns a new one
+    of the same dtype with the constant shift, so that for the matching
+    restriction of assignments
 
         maxcut(parent) = maxcut(reduced) + shift.
 
@@ -300,14 +301,11 @@ def contract_pair(weights, pick, rel):
     n = len(weights)
     if not 1 <= pick < n:
         raise ValueError("pick must be a non-anchor vertex")
-    keep = [t for t in range(n) if t != pick]
-    folded = [[weights[a][b] for b in keep] for a in keep]
-    for new_t, t in enumerate(keep[1:], start=1):
-        folded[0][new_t] += rel * weights[pick][t]
-        folded[new_t][0] = folded[0][new_t]
-    shift = 0
-    if rel < 0:
-        shift = sum(weights[pick][t] for t in range(n) if t != pick)
+    keep = np.delete(np.arange(n), pick)
+    folded = weights[np.ix_(keep, keep)]
+    folded[0, 1:] += rel * weights[pick, keep[1:]]
+    folded[1:, 0] = folded[0, 1:]
+    shift = int(weights[pick].sum()) if rel < 0 else 0
     return folded, shift
 
 
@@ -322,8 +320,13 @@ class _Search:
     ):
         self.budget = budget
         # Contraction only sums entries, so no node weighs more than the
-        # instance's total absolute weight: that decides the leaf's tier.
+        # instance's total absolute weight: that decides the leaf's tier
+        # and the node arrays' dtype, and past 2^53 the node relaxations'
+        # float64 Laplacians are no longer exact.
         width = sum(abs(w) for row in instance.weights for w in row) // 2
+        if width >= ENUM_FLOAT_LIMIT:
+            log.warning("the total weight has %d bits; node relaxations round the Laplacian",
+                        width.bit_length())
         wide = _enum_dtype(width, LEAF_SIZE) is not np.float64
         self.leaf_order = min(LEAF_SIZE, WIDE_LEAF_SIZE) if wide else LEAF_SIZE
         self.seed = seed
@@ -340,28 +343,31 @@ class _Search:
         self.updated = False
 
         self.orig_n = instance.n
-        weights = [list(row) for row in instance.weights]
+        dtype = np.int64 if width < ENUM_INT64_LIMIT else object
+        weights = np.array(instance.weights, dtype=dtype)
         groups = tuple(((i, 1),) for i in range(instance.n))
         self.root = _Node(weights, 0, groups, 0, next(self.node_ids))
 
     # -- incumbent handling ------------------------------------------------
 
-    def _offer(self, node: _Node, signs):
-        """Try a candidate assignment on the original vertex set."""
-        value, polished = improve_cut(node.weights, signs)
-        value += node.const
+    def _offer(self, node: _Node, value, signs):
+        """Install a cut of ``node`` as the incumbent if it beats it.
+
+        ``value`` includes the node's constant; ``signs`` are decoded into
+        a mask on the original vertices only for a cut that wins.
+        """
+        if value <= self.incumbent:
+            return
         mask = 0
-        for idx, group in enumerate(node.groups):
-            side = polished[idx]
+        for side, group in zip(signs, node.groups):
             for orig, rel in group:
                 if side * rel < 0:
                     mask |= 1 << orig
         if mask & 1:
             mask ^= (1 << self.orig_n) - 1
-        if value > self.incumbent:
-            self.incumbent = value
-            self.incumbent_mask = mask
-            self.updated = True
+        self.incumbent = value
+        self.incumbent_mask = mask
+        self.updated = True
 
     # -- bounding ----------------------------------------------------------
 
@@ -373,7 +379,8 @@ class _Search:
         node.bound = node.const - sol.certified_lower_bound(float(node.size))
         rng = np.random.default_rng((self.seed, node.node_id))
         for signs in gw_round(sol.x, rng):
-            self._offer(node, signs)
+            value, signs = improve_cut(node.weights, signs)
+            self._offer(node, value + node.const, signs)
 
     # -- life cycle of a node ----------------------------------------------
 
@@ -383,8 +390,8 @@ class _Search:
         self.budget.nodes += 1
         if node.size <= self.leaf_order:
             value, mask = enumerate_maxcut(node.weights)
-            signs = [1 if not mask >> i & 1 else -1 for i in range(node.size)]
-            self._offer(node, signs)
+            signs = 1 - 2 * (mask >> np.arange(node.size) & 1)
+            self._offer(node, value + node.const, signs)
             self._log_node(node, value + node.const)
             return
         self._bound(node)
@@ -399,15 +406,13 @@ class _Search:
         self.trace.append((node.node_id, node.depth, float(bound), self.incumbent))
 
     def _branch(self, node: _Node):
-        row = node.anchor_row
-        pick = 1 + int(np.argmin(row)) if row is not None and len(row) else 1
+        pick = 1 + int(np.argmin(node.anchor_row))
         for rel in (1, -1):
             weights, shift = contract_pair(node.weights, pick, rel)
             merged = node.groups[0] + tuple(
                 (orig, rel * r) for orig, r in node.groups[pick]
             )
-            keep = [t for t in range(node.size) if t != pick]
-            groups = (merged,) + tuple(node.groups[t] for t in keep[1:])
+            groups = (merged,) + node.groups[1:pick] + node.groups[pick + 1:]
             child = _Node(weights, node.const + shift, groups, node.depth + 1, next(self.node_ids))
             self._admit(child, cap=node.bound)
 

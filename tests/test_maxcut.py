@@ -52,11 +52,21 @@ def _above_leaf(extra, seed=0):
     return _random_instance(random.Random(seed), maxcut.LEAF_SIZE + extra)
 
 
+def _width(weights):
+    return sum(abs(w) for row in weights for w in row) // 2
+
+
+def _node_array(weights):
+    """Weights as the search holds them: int64 below its limit, else Python ints."""
+    dtype = np.int64 if _width(weights) < maxcut.ENUM_INT64_LIMIT else object
+    return np.array(weights, dtype=dtype)
+
+
 def _optimum(inst):
     """Exact max cut one vertex past the enumeration cap, by both folds of vertex 1."""
     if inst.n <= 24:
         return enumerate_maxcut(inst)[0]
-    folds = (contract_pair(inst.weights, 1, rel) for rel in (1, -1))
+    folds = (contract_pair(_node_array(inst.weights), 1, rel) for rel in (1, -1))
     return max(enumerate_maxcut(w)[0] + shift for w, shift in folds)
 
 
@@ -73,7 +83,7 @@ def _brute_maxcut(inst):
 def test_improve_cut_reaches_local_optimum():
     # Triangle with weights 3, 2, -1: the single vertex 0 gives cut 5,
     # which one steepest flip from the all-equal start already finds.
-    w = ((0, 3, 2), (3, 0, -1), (2, -1, 0))
+    w = np.array(((0, 3, 2), (3, 0, -1), (2, -1, 0)))
     value, signs = improve_cut(w, [1, 1, 1])
     assert value == 5
     assert signs[0] != signs[1] and signs[1] == signs[2]
@@ -82,19 +92,19 @@ def test_improve_cut_reaches_local_optimum():
 
 
 def test_improve_cut_all_negative_keeps_empty_side():
-    w = ((0, -4), (-4, 0))
+    w = np.array(((0, -4), (-4, 0)))
     value, _ = improve_cut(w, [1, 1])
     assert value == 0
 
 
 def test_gw_round_recovers_rank_one_point():
-    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
-    x = np.outer(signs, signs)
+    # s s^T is also the point of -s, which keeps vertex 0 at +1.
+    signs = np.array([-1, 1, -1, 1, -1])
+    x = np.outer(signs, signs).astype(float)
     rng = np.random.default_rng(7)
     candidates = gw_round(x, rng)
-    assert candidates
-    for cand in candidates:
-        assert list(cand) == list(signs)
+    assert candidates.shape == (maxcut.GW_ROUNDS, 5)
+    assert (candidates == -signs).all()
 
 
 def test_enumerate_matches_brute_force():
@@ -133,19 +143,23 @@ def test_enumerate_refuses_malformed_weights(weights, message):
 def test_contraction_preserves_maxcut():
     # Folding any vertex onto the anchor in both orientations splits the
     # assignment space in two, so the parent optimum is the better child.
+    # Scaled by 2^61 the node array holds Python integers.
     rng = random.Random(17)
     for _ in range(3):
         n = rng.randint(4, 8)
         inst = _random_instance(rng, n, density=0.9)
-        parent, _ = enumerate_maxcut(inst.weights)
         pick = rng.randint(1, n - 1)
-        best = None
-        for rel in (1, -1):
-            folded, shift = contract_pair(inst.weights, pick, rel)
-            value, _ = enumerate_maxcut(folded)
-            value += shift
-            best = value if best is None else max(best, value)
-        assert best == parent
+        for shift, dtype in ((0, np.int64), (61, object)):
+            weights = _node_array(_scaled(inst.weights, shift))
+            assert weights.dtype == dtype
+            parent, _ = enumerate_maxcut(weights)
+            best = None
+            for rel in (1, -1):
+                folded, const = contract_pair(weights, pick, rel)
+                assert folded.dtype == dtype and type(const) is int
+                value = enumerate_maxcut(folded)[0] + const
+                best = value if best is None else max(best, value)
+            assert best == parent
 
 
 def test_enumerate_wide_weights_agree_with_scaled_instance():
@@ -328,8 +342,8 @@ def test_improve_cut_matches_seed_descent(w, data):
     # Same value, signs and integer type, also past 2^64 (Python ints);
     # the +1 keeps low bits set, so any float rounding would show.
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(w), max_size=len(w)))
-    value, polished = improve_cut(w, signs)
-    assert (value, polished) == _seed_improve_cut(w, signs)
+    value, polished = improve_cut(_node_array(w), signs)
+    assert (value, polished.tolist()) == _seed_improve_cut(w, signs)
     assert type(value) is int
     assert value == _seed_cut_from_signs(w, polished)
 
@@ -414,6 +428,18 @@ def test_leaf_size_follows_the_enumeration_tier(monkeypatch, bounded, shift):
     else:
         assert bounded[:1] == [0]
         assert sizes and max(sizes) <= maxcut.WIDE_LEAF_SIZE
+
+
+@pytest.mark.parametrize("shift, flagged", [(50, False), (51, True)])
+def test_wide_weights_are_flagged(caplog, shift, flagged):
+    # C_5 weighs 5 w in total: 2^52.3 at w = 2^50, and past 2^53, where
+    # the node relaxations' float Laplacians round, at w = 2^51.
+    ring = _instance_from_graph(cycle(5)).weights
+    with caplog.at_level("WARNING", logger="cheeger.maxcut"):
+        res = solve_maxcut(MaxCutInstance.build(_scaled(ring, shift)))
+    assert res.value == 4 << shift
+    warning = "the total weight has 54 bits; node relaxations round the Laplacian"
+    assert [record.getMessage() for record in caplog.records] == [warning] * flagged
 
 
 def test_bisection_instance_of_path_graph():
@@ -533,10 +559,6 @@ def test_time_limit_stops_after_the_root_solve(monkeypatch):
     assert res.status == "limit"
     assert res.best_bound >= res.value
     assert res.value == enumerate_maxcut(inst.weights)[0]
-
-
-def _width(weights):
-    return sum(abs(w) for row in weights for w in row) // 2
 
 
 def _at_width(width, n=20, seed=6):
