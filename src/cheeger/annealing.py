@@ -66,12 +66,6 @@ def _gains(g: Graph, mask: int) -> list[int]:
     return [2 * (a & mask).bit_count() - d for a, d in zip(g.adj_masks, g.degrees)]
 
 
-def local_search(g: Graph, subset: VertexSubset) -> tuple[int, VertexSubset]:
-    """Steepest-descent swap search from subset; returns a local optimum."""
-    value, mask = _descend(g, subset.mask, cut_value(g, subset), _gains(g, subset.mask))
-    return value, VertexSubset(g.n, mask)
-
-
 def _descend(g: Graph, mask: int, value: int, gain: list[int]) -> tuple[int, int]:
     """Steepest descent from the subset ``mask`` with cut ``value`` and
     gains ``gain``, which it updates in place; returns (cut, mask)."""

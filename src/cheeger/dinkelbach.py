@@ -31,7 +31,12 @@ from .maxcut import (
     solve_maxcut,
 )
 from .report import SolveReport, TraceRow
-from .transforms import dinkelbach_to_maxcut, require_relaxation_fits, slack_weights
+from .transforms import (
+    AnchorReduction,
+    dinkelbach_to_maxcut,
+    require_relaxation_fits,
+    slack_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -49,31 +54,22 @@ class QEvaluation:
     status: str
 
 
-def _objective(g: Graph, gamma: Fraction, subset: VertexSubset) -> int:
-    return (
-        gamma.denominator * cut_value(g, subset)
-        - gamma.numerator * subset.size
-    )
-
-
-def _shrink_witness(g: Graph, gamma: Fraction, subset: VertexSubset, value: int) -> VertexSubset:
-    """Drop vertices while the objective stays at the minimum.
+def _shrink_witness(red: AnchorReduction, subset: VertexSubset, value: int) -> VertexSubset:
+    """Drop vertices while the reduction's objective stays at the minimum.
 
     Every equal-objective subset is itself a minimizer, so this only
     moves between optima; smaller supports tighten the denominator
     monotonicity of the outer loop.
     """
-    current = subset
-    changed = True
-    while changed and current.size > 1:
-        changed = False
-        for v in current.indices():
-            candidate = VertexSubset(g.n, current.mask ^ (1 << v))
-            if candidate.size >= 1 and _objective(g, gamma, candidate) == value:
-                current = candidate
-                changed = True
+    while subset.size > 1:
+        for v in subset.indices():
+            candidate = VertexSubset(subset.n, subset.mask ^ (1 << v))
+            if red.objective(candidate) == value:
+                subset = candidate
                 break
-    return current
+        else:
+            break
+    return subset
 
 
 def evaluate_q(
@@ -85,9 +81,9 @@ def evaluate_q(
     """Exact Q(gamma) with a re-validated minimizer.
 
     The inner solve always runs to optimality (no injected threshold):
-    the iteration needs a true argmin, not just the sign.  The decoded
-    witness is checked against the graph directly; a mismatch means the
-    encoding and the solver disagree and is raised as a hard error.
+    the iteration needs a true argmin, not just the sign.
+    ``AnchorReduction.witness`` checks the decoded minimizer against the
+    graph and raises ``RuntimeError`` when the two disagree.
     The solve charges ``budget`` (default ``Budget()``).  A negative
     seed raises ``ValueError`` up front.
     """
@@ -99,15 +95,8 @@ def evaluate_q(
     ms = (time.monotonic() - started) * 1000.0
     if res.status != "optimal":
         return QEvaluation(0, None, res.nodes, ms, res.status)
-    value = red.offset - res.value
-    subset = red.decode_subset(res.mask)
-    if not 1 <= subset.size <= g.n // 2 or _objective(g, gamma, subset) != value:
-        raise RuntimeError(
-            f"decoded ratio witness inconsistent at gamma={gamma}; "
-            "the encoding or the solver is broken"
-        )
-    subset = _shrink_witness(g, gamma, subset, value)
-    return QEvaluation(value, subset, res.nodes, ms, "optimal")
+    value, subset = red.witness(res)
+    return QEvaluation(value, _shrink_witness(red, subset, value), res.nodes, ms, "optimal")
 
 
 def dinkelbach_solve(

@@ -431,62 +431,40 @@ def generate(family: str, *args) -> Graph:
 # ---------------------------------------------------------------------------
 # exhaustive reference solvers
 
-def _check_guard(g: Graph):
-    if g.n > ENUMERATION_GUARD:
-        raise ValueError(f"refusing exhaustive search on n={g.n} > {ENUMERATION_GUARD}")
-
-
-def _subset_cut(g: Graph, members: Sequence[int], mask: int) -> int:
-    inv = ~mask
-    return sum((g.adj_masks[v] & inv).bit_count() for v in members)
-
-
 def brute_force_bisection(g: Graph, k: int) -> tuple[int, VertexSubset]:
     """Minimum cut over subsets of size exactly k, by enumeration.
 
     Ties are broken by the lexicographically smallest membership vector.
     """
-    _check_guard(g)
+    if g.n > ENUMERATION_GUARD:
+        raise ValueError(f"refusing exhaustive search on n={g.n} > {ENUMERATION_GUARD}")
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"k={k} outside [1, {g.n // 2}]")
     best = None
     for combo in itertools.combinations(range(g.n), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        val = _subset_cut(g, combo, mask)
-        key = (val, tuple(mask >> i & 1 for i in range(g.n)))
+        mask = sum(1 << v for v in combo)
+        cut = sum((g.adj_masks[v] & ~mask).bit_count() for v in combo)
+        key = (cut, tuple(mask >> i & 1 for i in range(g.n)), mask)
         if best is None or key < best:
             best = key
-    val, membership = best
-    return val, VertexSubset.from_indices(g.n, [i for i, b in enumerate(membership) if b])
+    return best[0], VertexSubset(g.n, best[2])
+
+
+def _least_over_cardinalities(g: Graph, score) -> tuple:
+    """Least (score(cut, k), membership) over each size's minimum cut."""
+    rows = []
+    for k in range(1, g.n // 2 + 1):
+        cut, subset = brute_force_bisection(g, k)
+        rows.append((score(cut, k), subset.membership(), subset))
+    value, _, subset = min(rows)
+    return value, subset
 
 
 def brute_force_h(g: Graph) -> tuple[Fraction, VertexSubset]:
     """Exact edge expansion min |cut(S)|/|S| over 1 <= |S| <= n/2, by enumeration."""
-    _check_guard(g)
-    best = None
-    for k in range(1, g.n // 2 + 1):
-        for combo in itertools.combinations(range(g.n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            ratio = Fraction(_subset_cut(g, combo, mask), k)
-            key = (ratio, tuple(mask >> i & 1 for i in range(g.n)))
-            if best is None or key < best:
-                best = key
-    ratio, membership = best
-    return ratio, VertexSubset.from_indices(g.n, [i for i, b in enumerate(membership) if b])
+    return _least_over_cardinalities(g, Fraction)
 
 
 def brute_force_mincut(g: Graph) -> tuple[int, VertexSubset]:
     """Global minimum cut over proper nonempty subsets, by enumeration."""
-    _check_guard(g)
-    best = None
-    for k in range(1, g.n // 2 + 1):
-        val, s = brute_force_bisection(g, k)
-        key = (val, s.membership())
-        if best is None or key < best:
-            best = key
-            keep = s
-    return best[0], keep
+    return _least_over_cardinalities(g, lambda cut, k: cut)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sdp import UnitDiagonalSdp, floor_certified, sdp_solve
-from .transforms import MaxCutInstance
+from .transforms import MaxCutInstance, integer_weights
 
 log = logging.getLogger(__name__)
 
@@ -238,28 +238,21 @@ def enumerate_maxcut(instance_or_weights) -> tuple[int, int]:
     1, q_low).  Row-major order of the (high code, low code) table is code
     order, so the first minimum of quad, block by block, is the first
     maximizer.  Blocks keep at most about ``ENUM_BLOCK`` cuts in memory.
-    Takes an instance, nested lists or an integer array, converted once;
-    the array type comes from ``_enum_dtype``, so every sum is an exact
-    integer.  Weights must be square and symmetric with a zero diagonal,
-    as in ``MaxCutInstance.build``; others raise ``ValueError``.
+    Takes an instance or any weights ``integer_weights`` reads, which
+    refuses what ``MaxCutInstance.build`` refuses with the same
+    ``ValueError``; the array type comes from ``_enum_dtype``, so every
+    sum is an exact integer.
     """
     if isinstance(instance_or_weights, MaxCutInstance):
         instance_or_weights = instance_or_weights.weights
     n = len(instance_or_weights)
     if not 1 <= n <= 24:
         raise ValueError(f"enumeration takes 1 to 24 vertices, got {n}")
-    if any(len(row) != n for row in instance_or_weights):
-        raise ValueError("weights must be square with zero diagonal")
-    w = np.asarray(instance_or_weights)
-    # Over every entry, so that the checks below compare exact integers;
+    w = integer_weights(instance_or_weights)
     # Python ints, since abs() of an int64 array wraps at -2^63.
     max_w = max(int(w.max()), -int(w.min()))
     dtype = _enum_dtype(max_w, n)
     w = w.astype(dtype, copy=False)
-    if w.diagonal().any():
-        raise ValueError("weights must be square with zero diagonal")
-    if not (w == w.T).all():
-        raise ValueError("weights must be symmetric")
     if n == 1:
         return 0, 0
     low = (n - 1) // 2

@@ -210,7 +210,8 @@ def _exact_bisection(
     weight.  With a ``threshold`` the engine only has to find a cut
     strictly below it and otherwise reports "bound-stop"; without one
     it runs to optimality.  Returns ``(result, cut, subset)``, where the
-    cut and its subset are None unless the engine found the optimum.
+    cut and its subset are None unless the engine found the optimum, and
+    are checked by ``AnchorReduction.witness`` when it did.
     """
     red = bisection_to_maxcut(g, k, upper_cut)
     res = solve_maxcut(
@@ -221,14 +222,7 @@ def _exact_bisection(
     )
     if res.status != "optimal":
         return res, None, None
-    exact_cut = red.offset - res.value
-    subset = red.decode_subset(res.mask)
-    if subset.size != k or cut_value(g, subset) != exact_cut:
-        raise RuntimeError(
-            f"decoded bisection witness inconsistent at k={k}; "
-            "the reduction or the solver is broken"
-        )
-    return res, exact_cut, subset
+    return (res, *red.witness(res))
 
 
 @dataclass

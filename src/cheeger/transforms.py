@@ -32,12 +32,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, VertexSubset, read_edge_rows, write_edge_rows
+import numpy as np
+
+from .graphs import Graph, VertexSubset, cut_value, read_edge_rows, write_edge_rows
 from .sdp import DIMENSION_CAP
 
 
 class TransformError(ValueError):
     """Raised on a malformed max-cut instance file."""
+
+
+def integer_weights(weights) -> np.ndarray:
+    """Max-cut weights read exactly: a square symmetric integer matrix.
+
+    Integer arrays keep their dtype; anything else is read entry by entry
+    into Python integers (an ``object`` array), so no weight is rounded.
+    Ragged, non-integer, nonzero-diagonal and asymmetric weights raise
+    ``ValueError``.
+    """
+    w = weights
+    if not (isinstance(w, np.ndarray) and w.dtype.kind in "iu"):
+        rows = [list(row) for row in w]
+        try:
+            ints = [[int(v) for v in row] for row in rows]
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != rows:
+            raise ValueError("weights must be integers")
+        w = np.array(ints, dtype=object)
+    if w.shape != (len(w), len(w)) or w.diagonal().any():
+        raise ValueError("weights must be square with zero diagonal")
+    if not (w == w.T).all():
+        raise ValueError("weights must be symmetric")
+    return w
 
 
 @dataclass(frozen=True)
@@ -49,17 +76,11 @@ class MaxCutInstance:
 
     @classmethod
     def build(cls, weights) -> "MaxCutInstance":
-        w = tuple(tuple(int(v) for v in row) for row in weights)
-        n = len(w)
-        if n < 2:
+        """The instance of ``integer_weights(weights)``, at least two vertices."""
+        if len(weights) < 2:
             raise ValueError("instance needs at least two vertices")
-        for i in range(n):
-            if len(w[i]) != n or w[i][i] != 0:
-                raise ValueError("weights must be square with zero diagonal")
-            for j in range(i):
-                if w[i][j] != w[j][i]:
-                    raise ValueError("weights must be symmetric")
-        return cls(n=n, weights=w)
+        w = integer_weights(weights)
+        return cls(n=len(w), weights=tuple(map(tuple, w.tolist())))
 
 
 def dump_instance(inst: MaxCutInstance, comment: str | None = None) -> str:
@@ -111,18 +132,44 @@ def require_relaxation_fits(order: int):
 class AnchorReduction:
     """Max-cut form of a constrained cut problem: value = offset - cut exactly.
 
-    Instance vertex 0 is the anchor and vertices 1..n are the graph's;
-    any vertices past them are slack bits, which decoding drops.
+    The problem is min q cut(S) - p |S| over the subsets S of ``graph``
+    with lo <= |S| <= hi, for ``ratio`` = p/q and ``sizes`` = (lo, hi); a
+    bisection has ratio 0 and a single size.  Instance vertex 0 is the
+    anchor and vertices 1..n are the graph's; any vertices past them are
+    slack bits, which decoding drops.
     """
 
     instance: MaxCutInstance
     offset: int
-    n: int
+    graph: Graph
+    ratio: Fraction
+    sizes: tuple[int, int]
 
     def decode_subset(self, mask: int) -> VertexSubset:
         """Graph vertex i is in S when instance vertex i + 1 sits on the anchor's side."""
         side = mask >> 1 if mask & 1 else ~mask >> 1
-        return VertexSubset(self.n, side & ((1 << self.n) - 1))
+        return VertexSubset(self.graph.n, side & ((1 << self.graph.n) - 1))
+
+    def objective(self, subset: VertexSubset) -> int:
+        """q cut(S) - p |S|, the constrained problem's objective."""
+        return (self.ratio.denominator * cut_value(self.graph, subset)
+                - self.ratio.numerator * subset.size)
+
+    def witness(self, res) -> tuple[int, VertexSubset]:
+        """``(offset - res.value, S)`` for an optimal solve, S its decoded subset.
+
+        A size outside ``sizes`` or an objective other than that optimum
+        means the reduction and the solver disagree: ``RuntimeError``.
+        """
+        value = self.offset - res.value
+        subset = self.decode_subset(res.mask)
+        lo, hi = self.sizes
+        if not lo <= subset.size <= hi or self.objective(subset) != value:
+            raise RuntimeError(
+                f"decoded witness inconsistent with sizes {lo}..{hi} at ratio "
+                f"{self.ratio}; the reduction or the solver is broken"
+            )
+        return value, subset
 
 
 def bisection_to_maxcut(g: Graph, k: int, cut_upper_bound: int) -> AnchorReduction:
@@ -149,7 +196,9 @@ def bisection_to_maxcut(g: Graph, k: int, cut_upper_bound: int) -> AnchorReducti
     return AnchorReduction(
         instance=MaxCutInstance.build(weights),
         offset=p * (n - k) * (n - k),
-        n=n,
+        graph=g,
+        ratio=Fraction(0),
+        sizes=(k, k),
     )
 
 
@@ -224,4 +273,5 @@ def dinkelbach_to_maxcut(g: Graph, gamma: Fraction) -> AnchorReduction:
         - 2 * s * n
         + 2 * s
     )
-    return AnchorReduction(instance=MaxCutInstance.build(weights), offset=offset, n=n)
+    return AnchorReduction(instance=MaxCutInstance.build(weights), offset=offset,
+                           graph=g, ratio=Fraction(gn, gd), sizes=(1, s))

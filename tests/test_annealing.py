@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheeger.annealing import anneal_bisection, best_expansion_witness, local_search
+from cheeger.annealing import _descend, _gains, anneal_bisection, best_expansion_witness
 from cheeger.graphs import (
     Graph,
     VertexSubset,
@@ -71,12 +71,18 @@ def test_deterministic_given_seed():
     assert min(a, b) >= exact
 
 
+def _local_search(g, subset):
+    """The annealer's steepest-descent swap search from ``subset``."""
+    value, mask = _descend(g, subset.mask, cut_value(g, subset), _gains(g, subset.mask))
+    return value, VertexSubset(g.n, mask)
+
+
 def test_local_search_reaches_fixed_point():
     g = gnp(10, 0.4, seed=1)
     start = VertexSubset.from_indices(10, (0, 1, 2, 3))
-    value, subset = local_search(g, start)
+    value, subset = _local_search(g, start)
     assert value == cut_value(g, subset)
-    again_value, again_subset = local_search(g, subset)
+    again_value, again_subset = _local_search(g, subset)
     assert (again_value, again_subset.mask) == (value, subset.mask)
 
 
@@ -140,7 +146,7 @@ def test_local_search_matches_full_rescan():
         for k in range(1, g.n // 2 + 1):
             for _ in range(4):
                 start = VertexSubset.from_indices(g.n, rng.sample(range(g.n), k))
-                got_value, got = local_search(g, start)
+                got_value, got = _local_search(g, start)
                 want_value, want = _reference_local_search(g, start)
                 assert (got_value, got.mask) == (want_value, want.mask)
 
@@ -261,7 +267,7 @@ def _graph_and_start(draw):
 def test_local_search_properties(case):
     g, start = case
     k = start.size
-    value, subset = local_search(g, start)
+    value, subset = _local_search(g, start)
     assert subset.size == k
     assert value == cut_value(g, subset)
     for u in subset.indices():

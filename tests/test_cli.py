@@ -245,7 +245,7 @@ def test_bounds_single_cardinality_checks_the_witness(tmp_path, capsys, monkeypa
     monkeypatch.setattr(split_bound, "solve_maxcut", flipped)
     p = tmp_path / "c6.graph"
     p.write_text(C6_TEXT)
-    with pytest.raises(RuntimeError, match="inconsistent at k=3"):
+    with pytest.raises(RuntimeError, match=r"inconsistent with sizes 3\.\.3 at ratio 0;"):
         main(["bounds", "--k", "3", str(p)])
 
 

@@ -1,8 +1,12 @@
 """Tests for the discrete Newton ratio search."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
+from cheeger import dinkelbach
 from cheeger.dinkelbach import dinkelbach_solve, evaluate_q
 from cheeger.graphs import (
     VertexSubset,
@@ -34,6 +38,22 @@ def test_witness_is_shrunk_to_minimal_support():
     ev = evaluate_q(cycle(4), Fraction(0))
     assert ev.witness.size == 1
     assert cut_value(cycle(4), ev.witness) == 2
+
+
+def test_evaluation_checks_the_witness(monkeypatch):
+    # A decoded side that breaks the reduction is an error, never a Q
+    # value: flipping graph vertex 0 moves the size or the objective.
+    original = dinkelbach.solve_maxcut
+
+    def flipped(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return dataclasses.replace(res, mask=res.mask ^ 0b10)
+
+    monkeypatch.setattr(dinkelbach, "solve_maxcut", flipped)
+    with pytest.raises(RuntimeError, match=r"inconsistent with sizes 1\.\.4 at ratio 1/2;"):
+        evaluate_q(cycle(8), Fraction(1, 2))
+    with pytest.raises(RuntimeError, match=r"inconsistent with sizes 1\.\.4 at ratio 1/2;"):
+        dinkelbach_solve(cycle(8))
 
 
 def test_sign_structure_around_the_root():

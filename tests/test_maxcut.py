@@ -130,7 +130,10 @@ def test_enumerate_refuses_sizes_outside_its_range():
     ([[0, 1], [1]], "zero diagonal"),
     ([[0, 1], [3, 0]], "symmetric"),
     ([[0, 1 << 61], [(1 << 61) + 1, 0]], "symmetric"),
-], ids=["diagonal", "ragged", "asymmetric", "asymmetric-wide"])
+    ([[0, (1 << 63) + 1], [1 << 63, 0]], "symmetric"),
+    ([[0, 1.5, 1], [1.5, 0, 1], [1, 1, 0]], "integers"),
+], ids=["diagonal", "ragged", "asymmetric", "asymmetric-wide", "asymmetric-past-int64",
+        "non-integer"])
 def test_enumerate_refuses_malformed_weights(weights, message):
     # The same weights MaxCutInstance.build refuses; enumeration would
     # otherwise read only the upper triangle and return a wrong cut.
@@ -138,6 +141,13 @@ def test_enumerate_refuses_malformed_weights(weights, message):
         MaxCutInstance.build(weights)
     with pytest.raises(ValueError, match=message):
         enumerate_maxcut(weights)
+
+
+def test_enumerate_reads_weights_past_int64_exactly():
+    # 2^63 + 1 fits no int64, and read as a float it rounds to 2^63.
+    weights = [[0, (1 << 63) + 1], [(1 << 63) + 1, 0]]
+    assert enumerate_maxcut(weights) == ((1 << 63) + 1, 2)
+    assert enumerate_maxcut(MaxCutInstance.build(weights)) == ((1 << 63) + 1, 2)
 
 
 def test_contraction_preserves_maxcut():
