@@ -43,20 +43,46 @@ directly, with the same arguments and workspace sizes, so results are
 bit-identical to the wrapped calls.  The wrappers' failures are kept too:
 non-finite input raises ``ValueError`` and a nonzero LAPACK ``info``
 raises ``LinAlgError``, which the iteration answers as numerical failure.
+
+The routines come from scipy's compiled LAPACK module,
+``scipy.linalg._flapack``, loaded from its file on its own.  Importing
+``scipy.linalg`` instead costs about 0.3 s, most of it scipy's array-API
+layer (``array_api_compat.numpy``), which pulls in ``numpy.f2py``,
+``numpy.testing``, ``numpy.ma``, ``numpy.random`` and
+``numpy.polynomial``; the kernel uses none of them.  The extension
+module is the one ``scipy.linalg.lapack`` re-exports, so ``lapack.dsyevr``
+here is the very object ``scipy.linalg.lapack.dsyevr`` is, and results
+match ``scipy.linalg`` bit for bit.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import lapack
 
 log = logging.getLogger(__name__)
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, found and run without importing scipy."""
+    (scipy_dir,) = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(scipy_dir, "linalg")]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 # Hard cap on the block dimension of every problem.
 DIMENSION_CAP = 600
@@ -241,10 +267,12 @@ def _check_finite(a: np.ndarray):
 
 @cache
 def _syevr_workspace(n: int) -> dict:
-    """The dsyevr workspace sizes scipy.linalg.eigh queries on every call."""
-    query = lapack.get_lapack_funcs("syevr_lwork", dtype=np.float64)
-    lwork, liwork = lapack._compute_lwork(query, n=n, lower=True)
-    return {"lwork": lwork, "liwork": liwork}
+    """The dsyevr workspace sizes scipy.linalg.eigh queries on every call,
+    read as scipy's ``lapack._compute_lwork`` reads them for float64."""
+    lwork, liwork, info = lapack.dsyevr_lwork(n=n, lower=True)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return {"lwork": int(lwork), "liwork": int(liwork)}
 
 
 def _eigh(a: np.ndarray, vectors: bool = True):

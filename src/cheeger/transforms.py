@@ -47,12 +47,15 @@ def integer_weights(weights) -> np.ndarray:
 
     Integer arrays keep their dtype; anything else is read entry by entry
     into Python integers (an ``object`` array), so no weight is rounded.
-    Ragged, non-integer, nonzero-diagonal and asymmetric weights raise
+    Flat, ragged, non-integer, nonzero-diagonal and asymmetric weights raise
     ``ValueError``.
     """
     w = weights
     if not (isinstance(w, np.ndarray) and w.dtype.kind in "iu"):
-        rows = [list(row) for row in w]
+        try:
+            rows = [list(row) for row in w]
+        except TypeError:
+            raise ValueError("weights must be square with zero diagonal") from None
         try:
             ints = [[int(v) for v in row] for row in rows]
         except (TypeError, ValueError, OverflowError):

@@ -128,11 +128,12 @@ def test_enumerate_refuses_sizes_outside_its_range():
 @pytest.mark.parametrize("weights, message", [
     ([[0, 1, 1], [1, 0, 1], [1, 1, 5]], "zero diagonal"),
     ([[0, 1], [1]], "zero diagonal"),
+    ([1, 2], "zero diagonal"),
     ([[0, 1], [3, 0]], "symmetric"),
     ([[0, 1 << 61], [(1 << 61) + 1, 0]], "symmetric"),
     ([[0, (1 << 63) + 1], [1 << 63, 0]], "symmetric"),
     ([[0, 1.5, 1], [1.5, 0, 1], [1, 1, 0]], "integers"),
-], ids=["diagonal", "ragged", "asymmetric", "asymmetric-wide", "asymmetric-past-int64",
+], ids=["diagonal", "ragged", "flat", "asymmetric", "asymmetric-wide", "asymmetric-past-int64",
         "non-integer"])
 def test_enumerate_refuses_malformed_weights(weights, message):
     # The same weights MaxCutInstance.build refuses; enumeration would

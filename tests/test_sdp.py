@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -35,6 +38,7 @@ from cheeger.sdp import (
     _cholesky,
     _eigh,
     _solve_lower,
+    _syevr_workspace,
     sdp_solve,
 )
 from cheeger.split_bound import split_and_bound
@@ -425,8 +429,32 @@ def _spd(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
-@pytest.mark.parametrize("n", range(1, 41))
+def test_import_leaves_scipy_linalg_unloaded():
+    # A fresh interpreter: this module has imported scipy.linalg itself.
+    src = os.path.dirname(os.path.dirname(sdp.__file__))
+    code = (
+        "import sys, cheeger, cheeger.cli; "
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert set(out.split()) <= {"scipy.linalg._flapack"}
+
+
+def test_lapack_routines_are_scipys_own():
+    for name in ("dsyevr", "dpotrf", "dpotrs", "dtrtrs", "dsyevr_lwork"):
+        assert getattr(sdp.lapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 101, 401, DIMENSION_CAP])
 def test_helpers_equal_scipy_bitwise(n):
+    # Above n = 32 dsytrd runs blocked and reads the workspace sizes.
+    lapack = scipy.linalg.lapack
+    query = lapack.get_lapack_funcs("syevr_lwork", dtype=np.float64)
+    lwork, liwork = lapack._compute_lwork(query, n=n, lower=True)
+    assert _syevr_workspace(n) == {"lwork": lwork, "liwork": liwork}
     rng = np.random.default_rng(n)
     sym = _symmetric(rng, n)
     spd = _spd(rng, n)
