@@ -9,7 +9,6 @@ semidefinite-bounded branch-and-bound max-cut core:
 """
 
 from cheeger.bounds import (
-    bisection_sdp_bound,
     cheap_bisection_bound,
     global_sdp_bound,
     spectral_bound,
@@ -50,7 +49,6 @@ from cheeger.report import (
 from cheeger.split_bound import (
     BoundsTable,
     LimitExceeded,
-    cheap_lower_bound,
     pre_eliminate,
     split_and_bound,
     verify_lower_bound,
@@ -81,7 +79,6 @@ __all__ = [
     "TraceRow",
     "TransformError",
     "VertexSubset",
-    "bisection_sdp_bound",
     "bisection_to_maxcut",
     "bounds_csv",
     "brute_force_bisection",
@@ -89,7 +86,6 @@ __all__ = [
     "brute_force_mincut",
     "canonical_json",
     "cheap_bisection_bound",
-    "cheap_lower_bound",
     "complete",
     "cut_value",
     "cycle",

@@ -9,7 +9,9 @@ Three bounds live here, in increasing cost:
 * ``cheap_bisection_bound``: the relaxation of the cardinality-k
   bisection on its minimal face (``sdp.BisectionSdp``), rounded up to
   the next integer cut value and divided by k.  This is the workhorse
-  the subset-size elimination loop calls once per cardinality.
+  the subset-size elimination loop calls once per cardinality.  When
+  the solver fails it logs a warning and falls back to the eigenvalue
+  bound (``fallback_bisection_bound``), so it never raises ``SdpError``.
 
 All SDP-derived numbers pass through dual certificates, so a returned
 bound is safe even when the interior-point iteration stops early.
@@ -17,12 +19,15 @@ bound is safe even when the interior-point iteration stops early.
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph, laplacian
-from .sdp import BisectionSdp, DenseSdp, ceil_certified, sdp_solve
+from .sdp import BisectionSdp, DenseSdp, SdpError, ceil_certified, sdp_solve
+
+log = logging.getLogger(__name__)
 
 
 def spectral_bound(g: Graph) -> float:
@@ -63,14 +68,22 @@ def global_sdp_bound(g: Graph) -> float:
 def cheap_bisection_bound(g: Graph, k: int) -> Fraction:
     """Exact-rational lower bound on cut(S)/k over subsets of size k.
 
-    Solves the face-reduced relaxation of the k-bisection, certifies
-    its value from the dual, rounds up to the next integer cut (cuts are
-    integers), and clamps at 1 (every cut of a connected graph has at
-    least one edge).  The result is a Fraction with denominator k.
+    Solves the face-reduced relaxation of the k-bisection
+    (``BisectionSdp`` with the Laplacian as objective; every feasible W
+    has trace k, which caps the dual certificate), stopping once the
+    certificate's next integer is settled.  That integer, clamped at 1
+    (every cut of a connected graph has at least one edge), over k is
+    the result, a Fraction with denominator k.  If the solver fails, the
+    eigenvalue bound stands in and a warning is logged.
     """
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
-    return _cut_ratio_bound(bisection_sdp_bound(g, k), k)
+    try:
+        sol = sdp_solve(BisectionSdp(laplacian(g), k), settle_trace=k)
+    except SdpError as exc:
+        log.warning("relaxation failed for k=%d (%s); eigenvalue fallback", k, exc)
+        return fallback_bisection_bound(g, k, spectral_bound(g))
+    return _cut_ratio_bound(sol.certified_lower_bound(k), k)
 
 
 def _cut_ratio_bound(cut_lower: float, k: int) -> Fraction:
@@ -86,14 +99,3 @@ def fallback_bisection_bound(g: Graph, k: int, half_lambda: float) -> Fraction:
     """
     return _cut_ratio_bound(2.0 * half_lambda * k * (g.n - k) / g.n, k)
 
-
-def bisection_sdp_bound(g: Graph, k: int) -> float:
-    """Certified lower bound on the cardinality-k bisection cut value.
-
-    The relaxation is ``BisectionSdp`` with the Laplacian as objective;
-    every feasible W has trace k, which caps the dual certificate.  The
-    solve stops once the certificate's next integer is settled, which is
-    all that ``cheap_bisection_bound`` reads.
-    """
-    sol = sdp_solve(BisectionSdp(laplacian(g), k), settle_trace=k)
-    return sol.certified_lower_bound(k)

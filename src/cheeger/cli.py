@@ -206,7 +206,7 @@ def _cmd_bounds(args) -> int:
     g = _load_graph_file(args.graph)
     if args.k is None:
         table = pre_eliminate(g, seed=args.seed, budget=Budget(time_limit=args.time_limit))
-        rows, limited = table.rows(), table.cut_short
+        rows, limited = tuple(table.rows.values()), table.cut_short
     else:
         if not 1 <= args.k <= g.n // 2:
             raise ValueError(f"k must lie in [1, {g.n // 2}], got {args.k}")

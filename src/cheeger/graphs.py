@@ -75,12 +75,6 @@ class VertexSubset:
     def complement(self) -> "VertexSubset":
         return VertexSubset(self.n, self.mask ^ ((1 << self.n) - 1))
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.mask >> v & 1)
-
-    def __iter__(self):
-        return iter(self.indices())
-
 
 @dataclass(frozen=True)
 class Graph:

@@ -275,15 +275,16 @@ def _syevr_workspace(n: int) -> dict:
     return {"lwork": int(lwork), "liwork": int(liwork)}
 
 
-def _eigh(a: np.ndarray, vectors: bool = True):
-    """scipy.linalg.eigh(a) (lower triangle, LAPACK dsyevr), without its overhead."""
+def _eigh(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.eigh(a, eigvals_only=True) (lower triangle, LAPACK
+    dsyevr), without its overhead."""
     _check_finite(a)
-    w, v, _, _, info = lapack.dsyevr(
-        a, compute_v=int(vectors), lower=True, **_syevr_workspace(a.shape[0])
+    w, _, _, _, info = lapack.dsyevr(
+        a, compute_v=0, lower=True, **_syevr_workspace(a.shape[0])
     )
     if info != 0:
         raise LinAlgError(f"dsyevr failed with info {info}")
-    return (w, v) if vectors else w
+    return w
 
 
 def _cholesky(a: np.ndarray, clean: bool = True) -> np.ndarray:
@@ -344,7 +345,7 @@ def _max_step(l: np.ndarray | None, d: np.ndarray) -> float:
 
 def _max_identity_step(a: np.ndarray) -> float:
     """Largest alpha keeping I + alpha A PSD."""
-    lam = float(np.min(_eigh(_sym(a), vectors=False)))
+    lam = float(np.min(_eigh(_sym(a))))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -417,7 +418,7 @@ def sdp_solve(prob: Problem, settle_trace: float | None = None) -> SdpSolution:
 
 def _slack_min_eig(prob: Problem, y: np.ndarray) -> float:
     """lambda_min of the exactly recomputed dual slack C - A^T y."""
-    return float(np.min(_eigh(_sym(prob.c - prob.op_at(y)), vectors=False)))
+    return float(np.min(_eigh(_sym(prob.c - prob.op_at(y)))))
 
 
 def _iterate(prob: Problem, c, b, settled):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .annealing import anneal_bisection
@@ -42,7 +42,6 @@ from .maxcut import (
     solve_maxcut,
 )
 from .report import BoundRow, SolveReport
-from .sdp import SdpError
 from .transforms import bisection_to_maxcut, require_relaxation_fits
 
 log = logging.getLogger(__name__)
@@ -56,28 +55,22 @@ class LimitExceeded(RuntimeError):
 class BoundsTable:
     """Per-cardinality bounds plus the global incumbent ratio.
 
-    ``lower[k]`` is a certified lower bound on cut(S)/k over size-k
-    subsets; ``upper_cut[k]`` is the best known size-k cut value with
-    its subset in ``witness[k]``.  ``ustar`` is the smallest ratio seen
-    anywhere, always backed by a genuine cut.  ``cut_short`` marks a
-    table whose later rows were filled in after the time limit, from the
-    eigenvalue bound and the first k vertices.
+    ``rows[k]`` holds, in increasing k, a certified lower bound on
+    cut(S)/k over size-k subsets, the best known size-k ratio with its
+    subset, and the cardinality's status.  ``ustar`` is the smallest
+    ratio seen anywhere, always backed by a genuine cut.  ``cut_short``
+    marks a table whose later rows were filled in after the time limit,
+    from the eigenvalue bound and the first k vertices.
     """
 
     n: int
-    lower: dict = field(default_factory=dict)
-    upper_cut: dict = field(default_factory=dict)
-    witness: dict = field(default_factory=dict)
-    status: dict = field(default_factory=dict)
+    rows: dict[int, BoundRow] = field(default_factory=dict)
     ustar: Fraction | None = None
     ustar_witness: VertexSubset | None = None
     cut_short: bool = False
 
-    def upper(self, k: int) -> Fraction:
-        return Fraction(self.upper_cut[k], k)
-
     def survivors(self) -> list:
-        return [k for k in sorted(self.status) if self.status[k] == "pending"]
+        return [k for k, row in self.rows.items() if row.status == "pending"]
 
     def offer(self, ratio: Fraction, subset: VertexSubset) -> bool:
         """Install a genuine cut as the incumbent if it is better.
@@ -96,34 +89,6 @@ class BoundsTable:
         ):
             self.ustar_witness = subset
         return improved
-
-    def rows(self) -> tuple:
-        out = []
-        for k in sorted(self.status):
-            out.append(
-                BoundRow(
-                    k=k,
-                    lower=self.lower[k],
-                    upper=self.upper(k),
-                    status=self.status[k],
-                    witness=self.witness[k].indices(),
-                )
-            )
-        return tuple(out)
-
-
-def cheap_lower_bound(g: Graph, k: int) -> Fraction:
-    """Certified lower bound on the size-k bisection ratio.
-
-    The semidefinite relaxation, with the eigenvalue bound as a fallback
-    when the solver fails on an instance.  Always at least 1/k: the
-    graph is connected, so every nonempty proper subset is cut.
-    """
-    try:
-        return cheap_bisection_bound(g, k)
-    except SdpError as exc:
-        log.warning("relaxation failed for k=%d (%s); eigenvalue fallback", k, exc)
-        return fallback_bisection_bound(g, k, spectral_bound(g))
 
 
 def pre_eliminate(
@@ -166,34 +131,32 @@ def pre_eliminate(
             table.cut_short = True
             half_lambda = spectral_bound(g)
         if table.cut_short:
-            table.lower[k] = fallback_bisection_bound(g, k, half_lambda)
+            lower = fallback_bisection_bound(g, k, half_lambda)
             subset = VertexSubset.from_indices(g.n, range(k))
             cut = cut_value(g, subset)
             how = "first k vertices, time limit"
         else:
-            table.lower[k] = cheap_lower_bound(g, k)
-            bound_cut = math.ceil(table.lower[k] * k)
+            lower = cheap_bisection_bound(g, k)
+            bound_cut = math.ceil(lower * k)
             lower_cut = max(connectivity, bound_cut)
             cut, subset = anneal_bisection(g, k, seed=seed, lower_cut=lower_cut)
             stop = "stopped at" if cut == lower_cut else "full schedule above"
             how = (f"annealed, {stop} floor {lower_cut} "
                    f"(connectivity {connectivity}, bound cut {bound_cut})")
         log.info("pre-elimination k=%d: lower bound %s, cut %d, %s",
-                 k, table.lower[k], cut, how)
-        table.upper_cut[k] = cut
-        table.witness[k] = subset
-        table.offer(Fraction(cut, k), subset)
-    for k in sorted(table.lower):
-        if table.lower[k] < table.ustar:
-            table.status[k] = "pending"
-        else:
-            table.status[k] = "eliminated-pre"
+                 k, lower, cut, how)
+        ratio = Fraction(cut, k)
+        table.rows[k] = BoundRow(k, lower, ratio, "pending", subset.indices())
+        table.offer(ratio, subset)
+    for k, row in table.rows.items():
+        if row.lower >= table.ustar:
+            table.rows[k] = replace(row, status="eliminated-pre")
     return table
 
 
 def _exact_order(table: BoundsTable) -> list:
     """Survivors in ascending order of their upper bounds."""
-    return sorted(table.survivors(), key=lambda k: (table.upper(k), k))
+    return sorted(table.survivors(), key=lambda k: (table.rows[k].upper, k))
 
 
 def _exact_bisection(
@@ -251,14 +214,15 @@ def _run_exact_phase(
     """
     phase = _ExactPhase()
     for k in _exact_order(table):
-        if table.lower[k] >= table.ustar:
-            table.status[k] = "eliminated-update"
+        row = table.rows[k]
+        if row.lower >= table.ustar:
+            table.rows[k] = replace(row, status="eliminated-update")
             continue
         if budget.exhausted():
             phase.hit_limit = True
             return phase
         res, exact_cut, subset = _exact_bisection(
-            g, k, table.upper_cut[k], math.ceil(table.ustar * k),
+            g, k, int(row.upper * k), math.ceil(table.ustar * k),
             seed * 131 + k, budget,
         )
         phase.attempts += 1
@@ -268,12 +232,11 @@ def _run_exact_phase(
             phase.hit_limit = True
             return phase
         if res.status == "bound-stop":
-            table.status[k] = "eliminated-root"
+            table.rows[k] = replace(row, status="eliminated-root")
             continue
-        table.status[k] = "solved"
-        table.upper_cut[k] = exact_cut
-        table.witness[k] = subset
-        improved = table.offer(Fraction(exact_cut, k), subset)
+        ratio = Fraction(exact_cut, k)
+        table.rows[k] = replace(row, upper=ratio, status="solved", witness=subset.indices())
+        improved = table.offer(ratio, subset)
         if improved and stop_on_improvement:
             phase.violation = subset
             return phase
@@ -300,7 +263,7 @@ def solve_cardinality(
     cut, subset = anneal_bisection(g, k, seed=seed, lower_cut=edge_connectivity(g))
     _, exact_cut, exact_subset = _exact_bisection(g, k, cut, None, seed, budget)
     if exact_subset is None:
-        return BoundRow(k, cheap_lower_bound(g, k), Fraction(cut, k), "pending",
+        return BoundRow(k, cheap_bisection_bound(g, k), Fraction(cut, k), "pending",
                         subset.indices())
     ratio = Fraction(exact_cut, k)
     return BoundRow(k, ratio, ratio, "solved", exact_subset.indices())
@@ -346,7 +309,7 @@ def split_and_bound(
     phase = _run_exact_phase(g, table, seed, budget, stop_on_improvement=False)
     if phase.hit_limit:
         status = "limit"
-        lower = min([table.lower[k] for k in table.survivors()] + [table.ustar])
+        lower = min([table.rows[k].lower for k in table.survivors()] + [table.ustar])
     else:
         status = "solved"
         lower = table.ustar
@@ -365,7 +328,7 @@ def split_and_bound(
         seed=seed,
         preelim_ms=preelim_ms,
         total_ms=budget.elapsed() * 1000.0,
-        table=table.rows(),
+        table=tuple(table.rows.values()),
     )
 
 

@@ -133,7 +133,7 @@ def test_03_per_cardinality_bound_sandwich():
         for k in range(1, g.n // 2 + 1):
             exact_cut, _ = brute_force_bisection(g, k)
             h_k = Fraction(exact_cut, k)
-            assert table.lower[k] <= h_k <= table.upper(k), (g.n, k)
+            assert table.rows[k].lower <= h_k <= table.rows[k].upper, (g.n, k)
 
 
 def _suite_10():
@@ -276,7 +276,7 @@ def test_09_polytope_instance_table():
         with open(name, "r", encoding="utf-8") as fh:
             g = load_graph(fh.read())
         table = pre_eliminate(g, seed=0)
-        floor = min(float(table.lower[k]) for k in table.lower)
+        floor = min(float(row.lower) for row in table.rows.values())
         assert abs(floor - 1.0) <= TABLE_SDP_TOL, name
         assert split_and_bound(g, seed=0).upper == 1, name
 

@@ -6,7 +6,6 @@ import pytest
 
 from cheeger import bounds
 from cheeger.bounds import (
-    bisection_sdp_bound,
     cheap_bisection_bound,
     global_sdp_bound,
     spectral_bound,
@@ -98,7 +97,7 @@ def test_raw_bisection_bound_below_exact_value():
     g = gnp(9, 0.5, seed=1)
     for k in range(1, 5):
         exact, _ = brute_force_bisection(g, k)
-        assert bisection_sdp_bound(g, k) <= exact + 1e-6
+        assert cheap_bisection_bound(g, k) * k <= exact
 
 
 def test_cardinality_out_of_range_rejected():

@@ -460,11 +460,7 @@ def test_helpers_equal_scipy_bitwise(n):
     spd = _spd(rng, n)
     rhs = rng.standard_normal((n, n))
     for a in (sym, spd):
-        vals, vecs = _eigh(a)
-        ref_vals, ref_vecs = scipy.linalg.eigh(a)
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(vecs, ref_vecs)
-        assert np.array_equal(_eigh(a, vectors=False), scipy.linalg.eigh(a, eigvals_only=True))
+        assert np.array_equal(_eigh(a), scipy.linalg.eigh(a, eigvals_only=True))
     low = _cholesky(spd)
     assert np.array_equal(low, scipy.linalg.cholesky(spd, lower=True))
     for b in (rhs, rhs.T, rhs[:, :1]):
@@ -496,9 +492,7 @@ def test_helpers_raise_like_scipy_on_non_finite_input(bad):
     rhs = rng.standard_normal((6, 2))
     rhs[1, 1] = bad
     cases = [
-        (_eigh, (poisoned,), {}, scipy.linalg.eigh, (poisoned,), {}),
-        (_eigh, (poisoned,), {"vectors": False},
-         scipy.linalg.eigh, (poisoned,), {"eigvals_only": True}),
+        (_eigh, (poisoned,), {}, scipy.linalg.eigh, (poisoned,), {"eigvals_only": True}),
         (_cholesky, (poisoned,), {}, scipy.linalg.cholesky, (poisoned,), {"lower": True}),
         (_cholesky, (poisoned,), {"clean": False},
          scipy.linalg.cho_factor, (poisoned,), {"lower": True}),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cheeger import dinkelbach, maxcut, split_bound
+from cheeger.bounds import fallback_bisection_bound, spectral_bound
 from cheeger.dinkelbach import dinkelbach_solve, evaluate_q
 from cheeger.graphs import (
     VertexSubset,
@@ -48,7 +49,7 @@ def _crude_heuristic(g, k, seed=0, lower_cut=0):
 
 def test_pre_eliminate_complete_graph():
     table = pre_eliminate(complete(4))
-    assert table.lower == {1: Fraction(3), 2: Fraction(2)}
+    assert {k: row.lower for k, row in table.rows.items()} == {1: Fraction(3), 2: Fraction(2)}
     assert table.ustar == 2
     assert table.survivors() == []
 
@@ -56,8 +57,8 @@ def test_pre_eliminate_complete_graph():
 def test_pre_eliminate_cycle_six():
     table = pre_eliminate(cycle(6))
     assert table.ustar == Fraction(2, 3)
-    assert table.lower[3] == Fraction(2, 3)
-    assert table.status[1] == "eliminated-pre"
+    assert table.rows[3].lower == Fraction(2, 3)
+    assert table.rows[1].status == "eliminated-pre"
     assert set(table.survivors()) <= {2, 3}
 
 
@@ -143,14 +144,34 @@ def test_processing_order_does_not_change_answer(monkeypatch):
 
 
 def test_eigenvalue_fallback_when_relaxation_fails(monkeypatch, caplog):
-    def broken(g, k):
+    # A failed relaxation leaves the rationalized eigenvalue bound as the
+    # lower bound, with one warning per k, in pre-elimination and in a
+    # single cardinality's pending row alike.
+    def broken(prob, **kwargs):
         raise SdpError("forced failure")
 
-    monkeypatch.setattr("cheeger.split_bound.cheap_bisection_bound", broken)
-    with caplog.at_level("WARNING", logger="cheeger.split_bound"):
-        rep = split_and_bound(cycle(6))
-    assert rep.upper == Fraction(2, 3)
-    assert "fallback" in caplog.text
+    def fallback_warnings():
+        return [r.getMessage() for r in caplog.records if r.name == "cheeger.bounds"]
+
+    monkeypatch.setattr("cheeger.bounds.sdp_solve", broken)
+    g = cycle(8)
+    with caplog.at_level("WARNING", logger="cheeger.bounds"):
+        table = pre_eliminate(g)
+    assert [row.lower for row in table.rows.values()] == [
+        fallback_bisection_bound(g, k, spectral_bound(g)) for k in range(1, 5)
+    ]
+    assert fallback_warnings() == [
+        f"relaxation failed for k={k} (forced failure); eigenvalue fallback"
+        for k in range(1, 5)
+    ]
+
+    caplog.clear()
+    g = cycle(14)
+    with caplog.at_level("WARNING", logger="cheeger.bounds"):
+        row = solve_cardinality(g, 3, node_limit=0)
+    assert row.status == "pending"
+    assert row.lower == fallback_bisection_bound(g, 3, spectral_bound(g))
+    assert len(fallback_warnings()) == 1
 
 
 def test_limit_status_brackets_the_answer():
@@ -224,7 +245,7 @@ def test_time_limit_stops_annealing(monkeypatch):
     calls.clear()
     table = pre_eliminate(g, budget=Budget(time_limit=0.0))
     assert calls == [1]
-    assert table.cut_short and sorted(table.lower) == list(range(1, 7))
+    assert table.cut_short and list(table.rows) == list(range(1, 7))
     assert not pre_eliminate(g).cut_short
 
     calls.clear()
@@ -253,11 +274,11 @@ def test_pre_eliminate_logs_every_cardinality(caplog):
         "pre-elimination k=2: lower bound 3/2, cut 4, annealed, full schedule above floor 3 "
         "(connectivity 2, bound cut 3)",
     ]
-    count = len(table.lower)
+    count = len(table.rows)
     assert len(lines) == 2 * count and lines[count:] == lines[:count]
-    for k, line in zip(sorted(table.lower), lines):
-        assert line.startswith(f"pre-elimination k={k}: lower bound {table.lower[k]}, "
-                               f"cut {table.upper_cut[k]}, annealed, ")
+    for row, line in zip(table.rows.values(), lines):
+        assert line.startswith(f"pre-elimination k={row.k}: lower bound {row.lower}, "
+                               f"cut {row.upper * row.k}, annealed, ")
 
     caplog.clear()
     with caplog.at_level("INFO", logger="cheeger.split_bound"):
@@ -301,7 +322,7 @@ def _refuse_annealing(monkeypatch):
         raise _Annealed
 
     monkeypatch.setattr(split_bound, "anneal_bisection", refuse)
-    monkeypatch.setattr(split_bound, "cheap_lower_bound", refuse)
+    monkeypatch.setattr(split_bound, "cheap_bisection_bound", refuse)
     monkeypatch.setattr(dinkelbach, "best_expansion_witness", refuse)
     monkeypatch.setattr(dinkelbach, "dinkelbach_to_maxcut", refuse)
     monkeypatch.setattr(maxcut, "_Search", refuse)
