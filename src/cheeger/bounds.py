@@ -61,8 +61,7 @@ def global_sdp_bound(g: Graph) -> float:
     rows[1:, :n, :n] = 1.0
     rows[1, n, n] = -1.0
     rows[2, n + 1, n + 1] = 1.0
-    sol = sdp_solve(DenseSdp(obj, rows, [1.0, 1.0, n / 2.0]))
-    return sol.certified_lower_bound(n / 2.0)
+    return sdp_solve(DenseSdp(obj, rows, [1.0, 1.0, n / 2.0], n / 2.0)).bound
 
 
 def cheap_bisection_bound(g: Graph, k: int) -> Fraction:
@@ -79,11 +78,11 @@ def cheap_bisection_bound(g: Graph, k: int) -> Fraction:
     if not 1 <= k <= g.n // 2:
         raise ValueError(f"cardinality {k} out of range for n={g.n}")
     try:
-        sol = sdp_solve(BisectionSdp(laplacian(g), k), settle_trace=k)
+        sol = sdp_solve(BisectionSdp(laplacian(g), k), settle=True)
     except SdpError as exc:
         log.warning("relaxation failed for k=%d (%s); eigenvalue fallback", k, exc)
         return fallback_bisection_bound(g, k, spectral_bound(g))
-    return _cut_ratio_bound(sol.certified_lower_bound(k), k)
+    return _cut_ratio_bound(sol.bound, k)
 
 
 def _cut_ratio_bound(cut_lower: float, k: int) -> Fraction:

@@ -72,9 +72,6 @@ class VertexSubset:
         """0/1 indicator vector as a tuple."""
         return tuple(self.mask >> i & 1 for i in range(self.n))
 
-    def complement(self) -> "VertexSubset":
-        return VertexSubset(self.n, self.mask ^ ((1 << self.n) - 1))
-
 
 @dataclass(frozen=True)
 class Graph:

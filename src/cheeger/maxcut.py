@@ -369,7 +369,7 @@ class _Search:
         quarter = _signed_laplacian(node.weights) / 4.0
         sol = sdp_solve(UnitDiagonalSdp(-quarter))
         node.anchor_row = np.abs(sol.x[0, 1:])
-        node.bound = node.const - sol.certified_lower_bound(float(node.size))
+        node.bound = node.const - sol.bound
         rng = np.random.default_rng((self.seed, node.node_id))
         for signs in gw_round(sol.x, rng):
             value, signs = improve_cut(node.weights, signs)

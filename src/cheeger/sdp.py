@@ -28,9 +28,12 @@ The iteration reads a problem only through five members:
   of the branch-and-bound engine.
 
 Everything downstream consumes *certified* bounds: for any dual vector y,
-    <C, X> >= b.y + lambda_min(C - A^T y) * trace_bound
+    <C, X> >= b.y + min(0, lambda_min(C - A^T y)) * trace_bound
 holds for every primal-feasible X whose trace is at most trace_bound, so
-a valid bound survives loose convergence or outright solver failure.
+a valid bound survives loose convergence or outright solver failure
+(Jansson, Chaykin & Keil, SIAM J. Optim. 2007).  Each problem carries
+its own ``trace_bound``, and ``_certificate`` is the one place a bound is
+formed: ``sdp_solve`` returns it as ``SdpSolution.bound``.
 
 The kernel is dense and meant for blocks up to a few hundred rows.  Every
 solve stops at the module constants ``SDP_TOL`` and ``MAX_ITERATIONS``.
@@ -62,7 +65,7 @@ import importlib.util
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -101,13 +104,16 @@ class DenseSdp:
 
     ``rows`` holds the symmetric matrices A_i as one (m, d, d) array,
     which costs m d^2 floats: right for a handful of rows only.
+    ``trace_bound`` caps tr X over the feasible set (``math.inf`` if
+    nothing does).
     """
 
-    def __init__(self, c: np.ndarray, rows: np.ndarray, rhs):
+    def __init__(self, c: np.ndarray, rows: np.ndarray, rhs, trace_bound: float):
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.shape[0]
         self.rows = np.asarray(rows, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
+        self.trace_bound = trace_bound
         self._flat = self.rows.reshape(len(self.rhs), -1)
 
     def op_a(self, x: np.ndarray) -> np.ndarray:
@@ -145,6 +151,7 @@ class BisectionSdp:
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.shape[0]
         self.k = k
+        self.trace_bound = k
         self.rhs = np.concatenate(([float(k * k)], np.zeros(self.dim)))
 
     def op_a(self, x: np.ndarray) -> np.ndarray:
@@ -185,13 +192,15 @@ class BisectionSdp:
 class UnitDiagonalSdp:
     """min <C, X> s.t. diag(X) = 1, X PSD: the max-cut relaxation.
 
-    The rows diag(X) = 1 act elementwise, so no constraint rows are built.
+    The rows diag(X) = 1 act elementwise, so no constraint rows are built,
+    and they fix tr X = n.
     """
 
     def __init__(self, c: np.ndarray):
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.shape[0]
         self.rhs = np.ones(self.dim)
+        self.trace_bound = self.dim
 
     def op_a(self, x: np.ndarray) -> np.ndarray:
         return np.diagonal(x).copy()
@@ -223,22 +232,9 @@ Problem = DenseSdp | BisectionSdp | UnitDiagonalSdp
 class SdpSolution:
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
-    primal_obj: float
-    dual_obj: float
+    bound: float  # the certificate of y, valid whatever the status
     status: str  # optimal | settled | max_iterations | numerical_failure
-    rel_gap: float
-    primal_res: float
-    dual_res: float
     iterations: int
-    dual_slack_min_eig: float = field(default=0.0)
-
-    def certified_lower_bound(self, trace_bound: float) -> float:
-        """Bound valid for every primal-feasible point, whatever the status.
-
-        Uses the exactly recomputed dual slack C - A^T y, never the iterate Z.
-        """
-        return self.dual_obj + min(0.0, self.dual_slack_min_eig) * trace_bound
 
 
 # Guard against certificate roundoff when an integer is read off a float
@@ -287,11 +283,10 @@ def _eigh(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def _cholesky(a: np.ndarray, clean: bool = True) -> np.ndarray:
-    """Lower Cholesky factor as scipy.linalg.cholesky (clean=True) or
-    cho_factor (clean=False, upper triangle left as in ``a``) return it."""
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor as scipy.linalg.cholesky returns it."""
     _check_finite(a)
-    c, info = lapack.dpotrf(a, lower=True, clean=clean)
+    c, info = lapack.dpotrf(a, lower=True, clean=True)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -351,16 +346,16 @@ def _max_identity_step(a: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def sdp_solve(prob: Problem, settle_trace: float | None = None) -> SdpSolution:
+def sdp_solve(prob: Problem, settle: bool = False) -> SdpSolution:
     """Run the interior-point iteration; always returns a usable solution.
 
     The status is honest: "optimal" only when the relative gap and the
-    residuals fall below ``SDP_TOL``; "settled", with ``settle_trace`` (a
-    trace bound for every feasible X), once the primal residual is below
-    SDP_TOL and the certificate rounds up (``ceil_certified``) to the
-    primal objective's integer, which no later iterate can raise; else
-    "max_iterations" at ``MAX_ITERATIONS`` (both module constants).  Safe
-    bounds come from SdpSolution.certified_lower_bound, whatever the status.
+    residuals fall below ``SDP_TOL``; "settled", with ``settle``, once the
+    primal residual is below SDP_TOL and the certificate rounds up
+    (``ceil_certified``) to the primal objective's integer, which no later
+    iterate can raise; else "max_iterations" at ``MAX_ITERATIONS`` (both
+    module constants).  ``bound`` is the certificate of the returned y,
+    safe whatever the status.
     """
     n = prob.dim
     b = prob.rhs
@@ -381,51 +376,39 @@ def sdp_solve(prob: Problem, settle_trace: float | None = None) -> SdpSolution:
         # The certificate never exceeds b.y: no eigensolve until b.y alone
         # reaches the primal objective's integer.
         target = ceil_certified(float(np.vdot(prob.c, x)))
-        dual_obj = float(b @ (scale * y))
-        if ceil_certified(dual_obj) < target:
+        y = scale * y
+        if ceil_certified(float(b @ y)) < target:
             return False
-        cert = dual_obj + min(0.0, _slack_min_eig(prob, scale * y)) * settle_trace
-        return ceil_certified(cert) >= target
+        return ceil_certified(_certificate(prob, y)) >= target
 
     # Problems lacking a strictly feasible point can send the dual running
     # away; overflow is silenced here, detected by the finiteness guard or
     # the except clause, and answered by falling back to the best iterate,
     # whose certificate is valid for any dual vector.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        status, it, (x, y, z, rel_out, pres_out, dres_out) = _iterate(
-            prob, c, b, None if settle_trace is None else settled
-        )
+        status, it, x, y, rel_gap = _iterate(prob, c, b, settled if settle else None)
     if status not in ("optimal", "settled"):
-        log.info("sdp_solve: %s after %d iterations (relgap %.2e)", status, it, rel_out)
+        log.info("sdp_solve: %s after %d iterations (relgap %.2e)", status, it, rel_gap)
 
     # Undo the objective scaling: y pairs with C = scale * c, so the dual
     # certificate for the original data is scale * y.
-    y_orig = scale * y
-    return SdpSolution(
-        x=x,
-        y=y_orig,
-        z=scale * z,
-        primal_obj=float(np.vdot(prob.c, x)),
-        dual_obj=float(b @ y_orig),
-        status=status,
-        rel_gap=rel_out,
-        primal_res=pres_out,
-        dual_res=dres_out,
-        iterations=it,
-        dual_slack_min_eig=_slack_min_eig(prob, y_orig),
-    )
+    y = scale * y
+    return SdpSolution(x=x, y=y, bound=_certificate(prob, y), status=status, iterations=it)
 
 
-def _slack_min_eig(prob: Problem, y: np.ndarray) -> float:
-    """lambda_min of the exactly recomputed dual slack C - A^T y."""
-    return float(np.min(_eigh(_sym(prob.c - prob.op_at(y)))))
+def _certificate(prob: Problem, y: np.ndarray) -> float:
+    """b.y + min(0, lambda_min(C - A^T y)) * trace_bound, from the exactly
+    recomputed dual slack C - A^T y, never the iterate Z.  A PSD slack adds
+    nothing, even to an infinite trace bound (where 0 * inf would be nan)."""
+    lam = float(np.min(_eigh(_sym(prob.c - prob.op_at(y)))))
+    return float(prob.rhs @ y) + (lam * prob.trace_bound if lam < 0.0 else 0.0)
 
 
 def _iterate(prob: Problem, c, b, settled):
     """XZ predictor-corrector from ``prob.start(c)``, capped at MAX_ITERATIONS.
 
-    Returns (status, iterations, (x, y, z, rel_gap, pres, dres)) with the
-    last iterate when optimal or settled(x, y), else the best one seen.
+    Returns (status, iterations, x, y, rel_gap) with the last iterate when
+    optimal or settled(x, y), else the best one seen.
     """
     n = prob.dim
     norm_b = 1.0 + float(np.linalg.norm(b))
@@ -436,7 +419,7 @@ def _iterate(prob: Problem, c, b, settled):
     best = None
     status = "max_iterations"
     it = 0
-    rel_gap = pres = dres = np.inf
+    rel_gap = np.inf
     for it in range(1, MAX_ITERATIONS + 1):
         rp = b - prob.op_a(x)
         rd = c - prob.op_at(y) - z
@@ -454,7 +437,7 @@ def _iterate(prob: Problem, c, b, settled):
             break
 
         if best is None or worst < best[0]:
-            best = (worst, x.copy(), y.copy(), z.copy(), rel_gap, pres, dres)
+            best = (worst, x.copy(), y.copy(), rel_gap)
 
         if worst <= SDP_TOL:
             status = "optimal"
@@ -505,15 +488,15 @@ def _iterate(prob: Problem, c, b, settled):
     if best is None:
         raise SdpError("iteration produced no usable point")
     if status in ("optimal", "settled"):
-        return status, it, (x, y, z, rel_gap, pres, dres)
-    return status, it, best[1:]
+        return status, it, x, y, rel_gap
+    return (status, it, *best[1:])
 
 
 def _robust_cho_factor(mat: np.ndarray):
     bump = 1e-13 * max(1.0, float(np.trace(mat)) / max(1, mat.shape[0]))
     for _ in range(6):
         try:
-            return _cholesky(mat + bump * np.eye(mat.shape[0]), clean=False)
+            return _cholesky(mat + bump * np.eye(mat.shape[0]))
         except LinAlgError:
             bump *= 100.0
     raise SdpError("Schur complement not positive definite")

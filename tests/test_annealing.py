@@ -270,8 +270,9 @@ def test_local_search_properties(case):
     value, subset = _local_search(g, start)
     assert subset.size == k
     assert value == cut_value(g, subset)
+    outside = VertexSubset(g.n, subset.mask ^ ((1 << g.n) - 1))
     for u in subset.indices():
-        for v in subset.complement().indices():
+        for v in outside.indices():
             swapped = VertexSubset(g.n, subset.mask ^ (1 << u) | (1 << v))
             assert cut_value(g, swapped) >= value
     exact, _ = brute_force_bisection(g, k)

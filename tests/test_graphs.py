@@ -96,7 +96,6 @@ def test_vertex_subset_basics():
     assert s.size == 2
     assert s.indices() == (0, 3)
     assert s.membership() == (1, 0, 0, 1, 0)
-    assert s.complement().indices() == (1, 2, 4)
     with pytest.raises(ValueError):
         VertexSubset.from_indices(5, [0, 0])
     with pytest.raises(ValueError):

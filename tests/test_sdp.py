@@ -55,20 +55,21 @@ def _row(d, entries):
     return a
 
 
-def _dense(c, rows):
-    """DenseSdp from (A_i, b_i) pairs."""
+def _dense(c, rows, trace_bound):
+    """DenseSdp from (A_i, b_i) pairs; ``trace_bound`` caps tr X."""
     mats, rhs = zip(*rows)
-    return DenseSdp(c, np.array(mats), rhs)
+    return DenseSdp(c, np.array(mats), rhs, trace_bound)
 
 
 def _unit_diagonal_rows(c):
     """diag(X) = 1 as n dense rows."""
     n = c.shape[0]
-    return _dense(c, [(_row(n, [(i, i, 1.0)]), 1.0) for i in range(n)])
+    return _dense(c, [(_row(n, [(i, i, 1.0)]), 1.0) for i in range(n)], n)
 
 
 def _global_expansion_problem(g):
-    """min <L, X>, tr X = 1, 1 <= <J, X> <= n/2, X PSD, with two slacks."""
+    """min <L, X>, tr X = 1, 1 <= <J, X> <= n/2, X PSD, with two slacks;
+    the slacks sum to n/2 - 1, so the block's trace is n/2."""
     n = g.n
     d = n + 2
     c = np.zeros((d, d))
@@ -79,7 +80,7 @@ def _global_expansion_problem(g):
         (_row(d, [(i, i, 1.0) for i in range(n)]), 1.0),
         (j + _row(d, [(n, n, -1.0)]), 1.0),
         (j + _row(d, [(n + 1, n + 1, 1.0)]), n / 2.0),
-    ])
+    ], n / 2.0)
 
 
 def _bisection_objective(g):
@@ -90,7 +91,7 @@ def _bisection_objective(g):
 
 def _dense_bisection_problem(c, k):
     """The unreduced bisection rows over X = [[1, x^T], [x, Y]], densely:
-    X_00 = 1, tr Y = k, <J, Y> = k^2 and X_ii = X_0i."""
+    X_00 = 1, tr Y = k, <J, Y> = k^2 and X_ii = X_0i; tr X = 1 + k."""
     d = c.shape[0]
     j = np.zeros((d, d))
     j[1:, 1:] = 1.0
@@ -100,24 +101,25 @@ def _dense_bisection_problem(c, k):
         (j, float(k * k)),
     ]
     rows += [(_row(d, [(i, i, 1.0), (0, i, -1.0)]), 0.0) for i in range(1, d)]
-    return _dense(c, rows)
+    return _dense(c, rows, 1.0 + k)
 
 
 def _dense_face_problem(c, k):
     """The rows of BisectionSdp written out densely, in the same order:
-    <J, W> = k^2 and k W_ii - (W e)_i = 0."""
+    <J, W> = k^2 and k W_ii - (W e)_i = 0; tr W = k."""
     n = c.shape[0]
     rows = [(np.ones((n, n)), float(k * k))]
     rows += [(_row(n, [(i, i, float(k))] + [(i, j, -1.0) for j in range(n)]), 0.0)
              for i in range(n)]
-    return _dense(c, rows)
+    return _dense(c, rows, k)
 
 
 def test_min_trace_is_one():
-    sol = sdp_solve(DenseSdp(np.eye(3), np.eye(3)[None], [1.0]))
+    prob = DenseSdp(np.eye(3), np.eye(3)[None], [1.0], 1.0)
+    sol = sdp_solve(prob)
     assert sol.status == "optimal"
-    assert abs(sol.primal_obj - 1.0) < 1e-6
-    assert abs(sol.dual_obj - 1.0) < 1e-6
+    assert abs(np.vdot(prob.c, sol.x) - 1.0) < 1e-6
+    assert abs(sol.bound - 1.0) < 1e-6
 
 
 def test_global_relaxation_matches_eigenvalue_oracle():
@@ -125,9 +127,10 @@ def test_global_relaxation_matches_eigenvalue_oracle():
     # eigensolve on a few structured graphs.
     for g in (complete(4), complete(5), cycle(5), cycle(6)):
         lam2 = np.sort(np.linalg.eigvalsh(laplacian(g)))[1]
-        sol = sdp_solve(_global_expansion_problem(g))
+        prob = _global_expansion_problem(g)
+        sol = sdp_solve(prob)
         assert sol.status == "optimal"
-        assert sol.primal_obj == pytest.approx(lam2 / 2.0, abs=1e-6)
+        assert np.vdot(prob.c, sol.x) == pytest.approx(lam2 / 2.0, abs=1e-6)
 
 
 def test_bisection_relaxation_bounds_true_bisection():
@@ -137,10 +140,11 @@ def test_bisection_relaxation_bounds_true_bisection():
     for prob in (BisectionSdp(laplacian(g), k),
                  _dense_bisection_problem(_bisection_objective(g), k)):
         sol = sdp_solve(prob)
+        primal = np.vdot(prob.c, sol.x)
         assert sol.status == "optimal"
-        assert sol.primal_obj <= exact + 1e-6
-        assert sol.primal_obj > 1.0  # strong enough to round up to the optimum
-        assert int(np.ceil(sol.primal_obj - 1e-6)) == exact
+        assert primal <= exact + 1e-6
+        assert primal > 1.0  # strong enough to round up to the optimum
+        assert int(np.ceil(primal - 1e-6)) == exact
 
 
 def test_certified_bound_is_safe_even_when_stopped_early(monkeypatch):
@@ -148,16 +152,16 @@ def test_certified_bound_is_safe_even_when_stopped_early(monkeypatch):
     prob = _global_expansion_problem(complete(4))
     for iters in (2, 4, 100):
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", iters)
-        sol = sdp_solve(prob)
-        assert sol.certified_lower_bound(1.0) <= 2.0 + 1e-9
+        assert sdp_solve(prob).bound <= 2.0 + 1e-9
 
 
 def test_certified_bound_below_primal_on_random_graphs():
     for seed in range(5):
         g = gnp(8, 0.5, seed=seed)
-        sol = sdp_solve(_global_expansion_problem(g))
-        cert = sol.certified_lower_bound(1.0)
-        assert cert <= sol.primal_obj + 1e-7
+        prob = _global_expansion_problem(g)
+        sol = sdp_solve(prob)
+        cert = sol.bound
+        assert cert <= np.vdot(prob.c, sol.x) + 1e-7
         lam2 = np.sort(np.linalg.eigvalsh(laplacian(g)))[1]
         assert cert <= lam2 / 2.0 + 1e-9
 
@@ -167,9 +171,10 @@ def test_maxcut_relaxation_value():
     # n/4 * lambda_max(L); solved as a minimization of the negation.
     g = cycle(5)
     lam_max = np.max(np.linalg.eigvalsh(laplacian(g)))
-    sol = sdp_solve(_unit_diagonal_rows(-laplacian(g) / 4.0))
+    prob = _unit_diagonal_rows(-laplacian(g) / 4.0)
+    sol = sdp_solve(prob)
     assert sol.status == "optimal"
-    assert -sol.primal_obj == pytest.approx(5.0 * lam_max / 4.0, abs=1e-6)
+    assert -np.vdot(prob.c, sol.x) == pytest.approx(5.0 * lam_max / 4.0, abs=1e-6)
 
 
 def _node_objective(rng, n, triangles):
@@ -203,19 +208,41 @@ def test_unit_diagonal_bound_agrees_with_generic_rows(seed, monkeypatch):
     generic = sdp_solve(_unit_diagonal_rows(-obj))
     unit = sdp_solve(UnitDiagonalSdp(-obj))
     assert generic.status == unit.status == "optimal"
-    bound = generic.certified_lower_bound(n)
-    assert abs(unit.certified_lower_bound(n) - bound) <= UNIT_AGREEMENT_TOL * (1.0 + abs(bound))
+    bound = generic.bound
+    assert abs(unit.bound - bound) <= UNIT_AGREEMENT_TOL * (1.0 + abs(bound))
 
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
     short = sdp_solve(UnitDiagonalSdp(-obj))
     assert short.status == "max_iterations"
     assert short.iterations == 3
     slack_eig = np.linalg.eigvalsh(-obj - np.diag(short.y))[0]
-    assert short.dual_slack_min_eig == pytest.approx(slack_eig, abs=1e-9 * (1.0 + abs(bound)))
-    assert short.dual_obj == pytest.approx(short.y.sum(), rel=1e-12)
-    assert short.certified_lower_bound(n) <= generic.primal_obj + UNIT_AGREEMENT_TOL * (
-        1.0 + abs(bound)
-    )
+    expected = short.y.sum() + min(0.0, slack_eig) * n
+    assert short.bound == pytest.approx(expected, abs=1e-9 * (1.0 + abs(bound)))
+    assert short.bound <= np.vdot(-obj, generic.x) + UNIT_AGREEMENT_TOL * (1.0 + abs(bound))
+
+
+def test_bound_is_the_problems_certificate(monkeypatch):
+    # Each relaxation states its own trace bound, and a solve's bound is
+    # that problem's certificate of the returned y, settled or cut short.
+    g = gnp(9, 0.5, seed=1)
+    k = 3
+    dense = _dense_face_problem(laplacian(g), k)
+    face = BisectionSdp(laplacian(g), k)
+    unit = UnitDiagonalSdp(-_node_objective(np.random.default_rng(7), 12, triangles=36))
+    assert (dense.trace_bound, face.trace_bound, unit.trace_bound) == (k, k, 12)
+    # The global block's stated trace is the one its optimum attains.
+    glob = _global_expansion_problem(g)
+    assert glob.trace_bound == g.n / 2.0
+    assert np.trace(sdp_solve(glob).x) == pytest.approx(g.n / 2.0, abs=1e-6)
+
+    solves = [(dense, sdp_solve(dense)), (face, sdp_solve(face, settle=True))]
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+    solves.append((unit, sdp_solve(unit)))
+    assert [sol.status for _, sol in solves] == ["optimal", "settled", "max_iterations"]
+    for prob, sol in solves:
+        lam = np.linalg.eigvalsh(prob.c - prob.op_at(sol.y))[0]
+        by_hand = prob.rhs @ sol.y + min(0.0, lam) * prob.trace_bound
+        assert sol.bound == pytest.approx(by_hand, rel=1e-9)
 
 
 @st.composite
@@ -239,7 +266,7 @@ def test_unit_diagonal_bound_stays_above_the_maximum_cut(w):
     # reach, never cuts off the true maximum cut.
     n = len(w)
     sol = sdp_solve(UnitDiagonalSdp(-_signed_laplacian(w) / 4.0))
-    assert -sol.certified_lower_bound(float(n)) >= enumerate_maxcut(w)[0]
+    assert -sol.bound >= enumerate_maxcut(w)[0]
 
 
 def test_nan_objective_raises():
@@ -278,9 +305,12 @@ def test_slack_rows_enforce_inequalities():
     sol = sdp_solve(_dense(obj, [
         (_row(4, [(0, 0, 1.0), (2, 2, -1.0)]), 3.0),
         (_row(4, [(1, 1, 1.0), (3, 3, 1.0)]), 5.0),
-    ]))
+    ], math.inf))
     assert sol.status == "optimal"
-    assert sol.primal_obj == pytest.approx(3.0, abs=1e-6)
+    assert np.vdot(obj, sol.x) == pytest.approx(3.0, abs=1e-6)
+    # X_00 is unbounded, so no trace bound exists; the slack is PSD at the
+    # optimum, and the bound is b.y.
+    assert sol.bound == pytest.approx(3.0, abs=1e-6)
     assert sol.x[1, 1] <= 5.0 + 1e-6
 
 
@@ -296,7 +326,7 @@ def _mixed_rows_problem():
         (dense, 0.5),
         (_row(7, [(2, 2, 1.0), (0, 4, 1.0), (5, 5, 1.0)]), 3.0),
         (dense.T @ dense + _row(7, [(6, 6, -1.0)]), 1.0),
-    ])
+    ], math.inf)
 
 
 def _bisection_pair(n, k):
@@ -404,14 +434,14 @@ def test_cheap_bound_equals_the_dense_rows_fraction(n, p, seed):
     g = gnp(n, p, seed=seed)
     c = _bisection_objective(g)
     for k in range(1, n // 2 + 1):
-        cert = sdp_solve(_dense_bisection_problem(c, k)).certified_lower_bound(1.0 + k)
+        cert = sdp_solve(_dense_bisection_problem(c, k)).bound
         ref = Fraction(max(1, math.ceil(cert - CERTIFICATE_SLACK)), k)
         assert bounds.cheap_bisection_bound(g, k) == ref
 
 
 def test_dimension_cap_enforced():
     d = DIMENSION_CAP + 1
-    for prob in (DenseSdp(np.eye(d), np.eye(d)[None], [1.0]), BisectionSdp(np.eye(d), 1)):
+    for prob in (DenseSdp(np.eye(d), np.eye(d)[None], [1.0], 1.0), BisectionSdp(np.eye(d), 1)):
         with pytest.raises(SdpError, match=f"dimension {d} exceeds cap {DIMENSION_CAP}"):
             sdp_solve(prob)
 
@@ -467,11 +497,10 @@ def test_helpers_equal_scipy_bitwise(n):
         assert np.array_equal(
             _solve_lower(low, b), scipy.linalg.solve_triangular(low, b, lower=True)
         )
-    fact = _cholesky(spd, clean=False)
+    # cho_factor leaves the upper triangle as in spd; dpotrs never reads it.
     ref_fact = scipy.linalg.cho_factor(spd, lower=True)
-    assert np.array_equal(fact, ref_fact[0])
     for b in (rhs, rhs[:, 0]):
-        assert np.array_equal(_cho_solve(fact, b), scipy.linalg.cho_solve(ref_fact, b))
+        assert np.array_equal(_cho_solve(low, b), scipy.linalg.cho_solve(ref_fact, b))
 
 
 def _raised(fn, *args, **kwargs):
@@ -494,8 +523,6 @@ def test_helpers_raise_like_scipy_on_non_finite_input(bad):
     cases = [
         (_eigh, (poisoned,), {}, scipy.linalg.eigh, (poisoned,), {"eigvals_only": True}),
         (_cholesky, (poisoned,), {}, scipy.linalg.cholesky, (poisoned,), {"lower": True}),
-        (_cholesky, (poisoned,), {"clean": False},
-         scipy.linalg.cho_factor, (poisoned,), {"lower": True}),
         (_solve_lower, (low, rhs), {},
          scipy.linalg.solve_triangular, (low, rhs), {"lower": True}),
         (_cho_solve, (low, rhs), {}, scipy.linalg.cho_solve, ((low, True), rhs), {}),
@@ -514,7 +541,6 @@ def test_helpers_raise_like_scipy_on_indefinite_and_singular_input():
         expected = _raised(scipy.linalg.cholesky, indefinite, lower=True)
         assert expected is np.linalg.LinAlgError
         assert _raised(_cholesky, indefinite) is expected
-        assert _raised(_cholesky, indefinite, clean=False) is expected
         singular = np.tril(rng.standard_normal((n, n)))
         singular[n // 2, n // 2] = 0.0
         singular = np.asfortranarray(singular)
@@ -531,22 +557,9 @@ def _solution_digest(solutions) -> str:
     """SHA-256 over every array and scalar a caller can read from a solve."""
     h = hashlib.sha256()
     for sol in solutions:
-        for arr in (sol.x, sol.y, sol.z):
+        for arr in (sol.x, sol.y):
             h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(
-            repr(
-                (
-                    sol.primal_obj,
-                    sol.dual_obj,
-                    sol.dual_slack_min_eig,
-                    sol.rel_gap,
-                    sol.primal_res,
-                    sol.dual_res,
-                    sol.iterations,
-                    sol.status,
-                )
-            ).encode()
-        )
+        h.update(repr((sol.bound, sol.iterations, sol.status)).encode())
     return h.hexdigest()
 
 
@@ -582,9 +595,9 @@ def _pinned_generic_solutions(monkeypatch):
 
 
 PINNED_GENERIC_SOLVES = 12
-PINNED_GENERIC_DIGEST = "6d582b570b7624de63459dc6150696b32a816d2494fbe9fd1ba9cbc7a9e34337"
+PINNED_GENERIC_DIGEST = "7a56b963bf082036940f5cc9b53cf4002227c2da7010e77d3a195e6a2b42f880"
 PINNED_UNIT_SOLVES = 20
-PINNED_UNIT_DIGEST = "f57bdf440c8943fec89e9f9d3553fb1f963e685cdf851b376bb9f2c073fa476f"
+PINNED_UNIT_DIGEST = "d36c887b4fd302c1adacd08eed33b65d0c89a46ca5796ac4010c777c7019ec79"
 RUNAWAY_BOUND = 34929.1129610346
 
 
@@ -602,7 +615,9 @@ def test_solver_outputs_are_pinned(monkeypatch):
 
 def _runaway_problem():
     """X_01 = 1 with X_00 = 0 has no PSD solution, so the dual runs away."""
-    return _dense(np.eye(2), [(_row(2, [(0, 1, 1.0)]), 1.0), (_row(2, [(0, 0, 1.0)]), 0.0)])
+    return _dense(
+        np.eye(2), [(_row(2, [(0, 1, 1.0)]), 1.0), (_row(2, [(0, 0, 1.0)]), 0.0)], 1.0
+    )
 
 
 def test_runaway_dual_keeps_status_and_certificate():
@@ -613,8 +628,8 @@ def test_runaway_dual_keeps_status_and_certificate():
     sol = sdp_solve(_runaway_problem())
     assert sol.status == "numerical_failure"
     assert sol.iterations == 25
-    assert np.isfinite(sol.certified_lower_bound(1.0))
-    assert sol.certified_lower_bound(1.0) == RUNAWAY_BOUND
+    assert np.isfinite(sol.bound)
+    assert sol.bound == RUNAWAY_BOUND
 
 
 def test_solves_of_both_exact_methods_stop_before_the_cap(monkeypatch):
