@@ -15,19 +15,20 @@ vertices, and one matrix product per block of high-half codes against
 all low-half codes, so memory stays near 2^16 cuts plus two tables of
 2^(n/2) rows even at the 24-vertex cap.
 
-All cut values are exact integers.  Enumeration sums in float64 on BLAS
-while every sum stays below 2^53, where float64 integers are exact, in
-int64 below 2^60, and in Python integers beyond; other floats appear
-only inside relaxation bounds, which are certified and therefore safe to
-floor against the integer incumbent.
+All cut values are exact integers.  Enumeration sums on BLAS in float32
+while every sum stays below 2^24 and in float64 below 2^53, the ranges
+where those floats hold integers exactly, in int64 below 2^60, and in
+Python integers beyond; other floats appear only inside relaxation
+bounds, which are certified and therefore safe to floor against the
+integer incumbent.
 
 Each node holds its weights as one integer array.  Contraction only sums
 entries, so the instance's total absolute weight (the search's width)
 bounds every entry and row sum of every node: the array is int64 while
 the width stays below ``ENUM_INT64_LIMIT`` and Python integers
 (``object``) above it.  Contraction, descent and rounding work on that
-array; it is cast to float64 only for the node relaxation and for
-float-tier leaves.
+array; it is cast to float64 for the node relaxation and to float32 or
+float64 for float-tier leaves.
 
 The search is one best-first loop over a heap of open nodes: pop the
 node with the largest bound and branch it unless its floored bound no
@@ -45,6 +46,7 @@ injected value.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -104,20 +106,26 @@ class Budget:
 # Leaves are enumerated up to the largest order at which a dense leaf
 # costs no more than a mean bounded node: node SDP solves plus rounding,
 # 7.3 ms on small-mixed, 12.0 ms on ratio-ring and 13.2 ms on split-mid in
-# traced bench passes at 18-vertex leaves.  Float64 enumeration of a
-# dense random instance, best of 7 (2-vCPU Xeon, one OpenBLAS thread):
+# traced bench passes at 18-vertex leaves.  Enumeration of a dense random
+# instance with weights in [-10, 10] (float32) and the same scaled by 2^20
+# (float64), median of three best-of-7 times (2-vCPU Xeon, one OpenBLAS
+# thread):
 #
-#     order   18     20     21     22     23     24
-#     ms      0.85   1.36   1.97   3.88   6.76   13.2
+#     order     18     20     21     22     23     24
+#     float32   0.41   0.66   1.03   1.83   3.60   6.15  ms
+#     float64   0.73   1.37   2.24   3.67   6.69   11.4  ms
 #
-# A search whose weights can push a leaf out of the float tier keeps
+# The crossover was set on float64 leaves; a float32 leaf of 24 vertices
+# now costs less than a mean node.
+# A search whose weights can push a leaf out of the float tiers keeps
 # 18-vertex leaves: there the Python-integer tier takes 0.16 s and doubles
 # with each further vertex.  Changing either size changes node counts.
 LEAF_SIZE = 23
 WIDE_LEAF_SIZE = 18
-# Enumeration runs in float64 while max |w| * N^2 stays under the first
-# limit, and in int64 while it stays under the second; node arrays are
-# int64 while the search's width stays under the second.
+# Enumeration runs in float32 while max |w| * N^2 stays under the first
+# limit, in float64 under the second and in int64 under the third; node
+# arrays are int64 while the search's width stays under the third.
+ENUM_SINGLE_LIMIT = 1 << 24
 ENUM_FLOAT_LIMIT = 1 << 53
 ENUM_INT64_LIMIT = 1 << 60
 # Cuts held in memory at once by enumeration.
@@ -203,21 +211,35 @@ def gw_round(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return signs * signs[:, :1]
 
 
+@functools.cache
 def _sign_table(bits: int, dtype) -> np.ndarray:
-    """Row c holds 1 - 2 * (bit j of c) in column j, for every code c."""
+    """Row c holds 1 - 2 * (bit j of c) in column j, for every code c.
+
+    Built once per (bits, dtype) and read-only, since every caller shares
+    it: at most 13 bit counts (``enumerate_maxcut`` takes up to 24
+    vertices) times the four enumeration types.
+    """
     codes = np.arange(1 << bits, dtype=np.int64)[:, None]
-    return (1 - 2 * ((codes >> np.arange(bits, dtype=np.int64)) & 1)).astype(dtype)
+    table = (1 - 2 * ((codes >> np.arange(bits, dtype=np.int64)) & 1)).astype(dtype)
+    table.flags.writeable = False
+    return table
 
 
 def _enum_dtype(max_w: int, n: int):
     """Array type that enumerates n vertices of weight at most max_w exactly.
 
-    Every intermediate of ``enumerate_maxcut`` is an integer of magnitude
-    at most max_w n^2.  float64 (on BLAS) is exact below 2^53, int64
-    (numpy's own integer loops) is kept below ``ENUM_INT64_LIMIT``, and
-    Python integers (``object``) are exact at any size.
+    Every partial sum of every product and row sum in ``enumerate_maxcut``
+    is an integer of magnitude at most max_w n^2: the three terms of quad
+    sum to at most max_w (n_h^2 + 2 n_h n_l + n_l^2) over the n_h high
+    and n_l low vertices.  On BLAS, float32 is exact below 2^24 and
+    float64 below 2^53, in any summation order, so ``argmin`` finds the
+    same first minimizer on either; int64 (numpy's own integer loops) is
+    kept below ``ENUM_INT64_LIMIT``, and Python integers (``object``) are
+    exact at any size.
     """
     span = max_w * n * n
+    if span < ENUM_SINGLE_LIMIT:
+        return np.float32
     if span < ENUM_FLOAT_LIMIT:
         return np.float64
     return np.int64 if span < ENUM_INT64_LIMIT else object
@@ -320,7 +342,7 @@ class _Search:
         if width >= ENUM_FLOAT_LIMIT:
             log.warning("the total weight has %d bits; node relaxations round the Laplacian",
                         width.bit_length())
-        wide = _enum_dtype(width, LEAF_SIZE) is not np.float64
+        wide = width * LEAF_SIZE**2 >= ENUM_FLOAT_LIMIT
         self.leaf_order = min(LEAF_SIZE, WIDE_LEAF_SIZE) if wide else LEAF_SIZE
         self.seed = seed
         self.trace = trace

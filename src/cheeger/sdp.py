@@ -33,7 +33,8 @@ holds for every primal-feasible X whose trace is at most trace_bound, so
 a valid bound survives loose convergence or outright solver failure
 (Jansson, Chaykin & Keil, SIAM J. Optim. 2007).  Each problem carries
 its own ``trace_bound``, and ``_certificate`` is the one place a bound is
-formed: ``sdp_solve`` returns it as ``SdpSolution.bound``.
+formed: ``sdp_solve`` returns it as ``SdpSolution.bound``, reusing the
+one that settled the solve.
 
 The kernel is dense and meant for blocks up to a few hundred rows.  Every
 solve stops at the module constants ``SDP_TOL`` and ``MAX_ITERATIONS``.
@@ -372,14 +373,20 @@ def sdp_solve(prob: Problem, settle: bool = False) -> SdpSolution:
         raise SdpError("objective norm overflows: entries too large to scale")
     c = prob.c / scale
 
+    # The certificate the stop test formed last: the returned bound of a
+    # settled solve, whose last test is the one that settled it.
+    tested_bound = None
+
     def settled(x, y) -> bool:
         # The certificate never exceeds b.y: no eigensolve until b.y alone
         # reaches the primal objective's integer.
+        nonlocal tested_bound
         target = ceil_certified(float(np.vdot(prob.c, x)))
         y = scale * y
         if ceil_certified(float(b @ y)) < target:
             return False
-        return ceil_certified(_certificate(prob, y)) >= target
+        tested_bound = _certificate(prob, y)
+        return ceil_certified(tested_bound) >= target
 
     # Problems lacking a strictly feasible point can send the dual running
     # away; overflow is silenced here, detected by the finiteness guard or
@@ -393,7 +400,8 @@ def sdp_solve(prob: Problem, settle: bool = False) -> SdpSolution:
     # Undo the objective scaling: y pairs with C = scale * c, so the dual
     # certificate for the original data is scale * y.
     y = scale * y
-    return SdpSolution(x=x, y=y, bound=_certificate(prob, y), status=status, iterations=it)
+    bound = tested_bound if status == "settled" else _certificate(prob, y)
+    return SdpSolution(x=x, y=y, bound=bound, status=status, iterations=it)
 
 
 def _certificate(prob: Problem, y: np.ndarray) -> float:

@@ -196,18 +196,19 @@ def _shift_into(limit, max_w, n):
 
 
 def test_enumeration_tiers_agree_up_to_the_leaf_size():
-    # W runs in float64; W 2^a is lifted into the int64 tier and W 2^b
-    # into the Python-integer tier.  Same mask, values scaled exactly.
-    # The Python tier is checked up to the wide leaf, the largest order
-    # a search enumerates in it; one call takes 0.3 s at 19 vertices and
-    # 4 s at 23.
+    # W runs in float32; W 2^a is lifted into the float64 tier, W 2^b into
+    # the int64 tier and W 2^c into the Python-integer tier.  Same mask,
+    # values scaled exactly.  The Python tier is checked up to the wide
+    # leaf, the largest order a search enumerates in it; one call takes
+    # 0.3 s at 19 vertices and 4 s at 23.
     rng = random.Random(2)
     for n in range(2, maxcut.LEAF_SIZE + 1):
         w = [list(row) for row in _random_instance(rng, n).weights]
         w[0][1] = w[1][0] = max_w = 10
-        assert maxcut._enum_dtype(max_w, n) is np.float64
+        assert maxcut._enum_dtype(max_w, n) is np.float32
         value, mask = enumerate_maxcut(w)
-        tiers = [(np.int64, _shift_into(maxcut.ENUM_FLOAT_LIMIT, max_w, n))]
+        tiers = [(np.float64, _shift_into(maxcut.ENUM_SINGLE_LIMIT, max_w, n)),
+                 (np.int64, _shift_into(maxcut.ENUM_FLOAT_LIMIT, max_w, n))]
         if n <= maxcut.WIDE_LEAF_SIZE:
             tiers.append((object, _shift_into(maxcut.ENUM_INT64_LIMIT, max_w, n)))
         for dtype, shift in tiers:
@@ -218,14 +219,26 @@ def test_enumeration_tiers_agree_up_to_the_leaf_size():
 @pytest.mark.parametrize("above", [0, 1])
 def test_enumeration_is_exact_at_the_float_bound(above):
     # 16^2 max|w| is 2^53 - 256 at max|w| = 2^45 - 1, the widest weight
-    # the float tier takes; one unit more moves it to int64.  Weights
+    # the float64 tier takes; one unit more moves it to int64.  Weights
     # within 2 of max|w| keep low bits set, so any rounding would show,
     # and with every weight -max|w| the uncut side reaches quad = -n(n-1)
     # max|w|, the largest sum of all.
-    n = 16
     max_w = (1 << 45) - 1 + above
-    assert maxcut._enum_dtype(max_w, n) is (np.int64 if above else np.float64)
-    rng = random.Random(45)
+    assert maxcut._enum_dtype(max_w, 16) is (np.int64 if above else np.float64)
+    _check_enumeration_near(max_w, random.Random(45))
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_enumeration_is_exact_at_the_single_bound(above):
+    # 16^2 max|w| is 2^24 - 256 at max|w| = 2^16 - 1, the widest weight
+    # the float32 tier takes; one unit more moves it to float64.
+    max_w = (1 << 16) - 1 + above
+    assert maxcut._enum_dtype(max_w, 16) is (np.float64 if above else np.float32)
+    _check_enumeration_near(max_w, random.Random(16))
+
+
+def _check_enumeration_near(max_w, rng, n=16):
+    """Random signed weights within 2 of max_w, and the all -max_w instance."""
     w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -234,6 +247,14 @@ def test_enumeration_is_exact_at_the_float_bound(above):
     assert enumerate_maxcut(w) == _seed_enumerate_maxcut(w)
     flat = [[-max_w * (i != j) for j in range(n)] for i in range(n)]
     assert enumerate_maxcut(flat) == (0, 0)
+
+
+def test_sign_tables_are_shared_and_read_only():
+    table = maxcut._sign_table(7, np.float32)
+    assert maxcut._sign_table(7, np.float32) is table
+    assert table.shape == (128, 7)
+    with pytest.raises(ValueError):
+        table[0, 0] = -1
 
 
 def _seed_cut_from_signs(weights, signs):
@@ -417,12 +438,14 @@ def test_solver_matches_enumeration(w, seed):
     assert cut_weight(inst, res.mask) == reference
 
 
-@pytest.mark.parametrize("shift", [0, 61])
+@pytest.mark.parametrize("shift", [0, 39, 61])
 def test_leaf_size_follows_the_enumeration_tier(monkeypatch, bounded, shift):
-    # A 20-cycle is one float64 leaf.  Scaled by 2^61 its enumeration
-    # needs Python integers, in which a leaf of LEAF_SIZE vertices takes
-    # about 4 s, so that search bounds its root and keeps the smaller
-    # leaves of WIDE_LEAF_SIZE.
+    # A 20-cycle is one float32 leaf, and scaled by 2^39 one float64
+    # leaf: its width 20 * 2^39 keeps every leaf of LEAF_SIZE vertices in
+    # the float tiers.  Scaled by 2^61 its enumeration needs Python
+    # integers, in which a leaf of LEAF_SIZE vertices takes about 4 s, so
+    # that search bounds its root and keeps the smaller leaves of
+    # WIDE_LEAF_SIZE.
     sizes = []
     original = maxcut.enumerate_maxcut
 
@@ -434,7 +457,9 @@ def test_leaf_size_follows_the_enumeration_tier(monkeypatch, bounded, shift):
     ring = _instance_from_graph(cycle(20)).weights
     res = solve_maxcut(MaxCutInstance.build(_scaled(ring, shift)))
     assert (res.value, res.status) == (20 << shift, "optimal")
-    if not shift:
+    if shift < 61:
+        leaf_dtype = np.float64 if shift else np.float32
+        assert maxcut._enum_dtype(1 << shift, 20) is leaf_dtype
         assert (bounded, sizes) == ([], [20])
     else:
         assert bounded[:1] == [0]

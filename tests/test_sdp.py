@@ -245,6 +245,23 @@ def test_bound_is_the_problems_certificate(monkeypatch):
         assert sol.bound == pytest.approx(by_hand, rel=1e-9)
 
 
+def test_settled_solve_forms_its_certificate_once(monkeypatch):
+    # The stop test's certificate is the returned bound, so a settled
+    # solve forms it, with its eigensolve, once.
+    calls = []
+    original = sdp._certificate
+
+    def counting(prob, y):
+        calls.append(prob.k)
+        return original(prob, y)
+
+    monkeypatch.setattr(sdp, "_certificate", counting)
+    lap = laplacian(gnp(24, 0.3, seed=2))
+    solves = [sdp_solve(BisectionSdp(lap, k), settle=True) for k in range(1, 13)]
+    assert [sol.status for sol in solves] == ["settled"] * 12
+    assert calls == list(range(1, 13))
+
+
 @st.composite
 def _maxcut_weights(draw, max_n=12):
     n = draw(st.integers(2, max_n))
